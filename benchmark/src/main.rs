@@ -113,7 +113,7 @@ mod tests {
     }
 
     #[test]
-    fn parses_the_driver_command_line() {
+    fn parses_a_run_command_line() {
         match parse_args(&args("--workload paper_search --seed 4 --seconds 10 --trace 1")) {
             Ok(Mode::Run(a)) => {
                 assert_eq!(a.workload.name(), "paper_search");
