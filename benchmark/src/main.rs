@@ -133,7 +133,7 @@ mod tests {
             "--workload quick_cold --seed 1 --seconds 0 --trace 0",
             "--workload quick_cold --seed 1 --seconds 10 --trace 0 --verbose",
             "--workload quick_cold --seed",
-            "--oracle quick-all-s2 --workload quick_cold --seed 1",
+            "--oracle quick-outliers-duplicates-s2 --workload quick_cold --seed 1",
         ] {
             assert!(parse_args(&args(bad)).is_err(), "{bad}");
         }

@@ -4,14 +4,13 @@
 //! a closed loop of gateway sessions for `--seconds`, each on a fresh
 //! engine over the now warm store:
 //!
-//! * `quick_cold` — the quick profile over all five error types (the
-//!   paper's full grid);
+//! * `quick_cold` — the quick profile over outliers and duplicates, the
+//!   error types with the costliest cleaning;
 //! * `paper_search` — inconsistencies under the paper's random search with
 //!   5-fold CV.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 use cleanml_engine::telemetry::{self, StatsSnapshot};
@@ -59,15 +58,11 @@ pub struct Args {
     pub trace: bool,
 }
 
-/// Times a run sets up a fresh store and engine; `setup_s` is their
-/// median. One set-up takes well under a millisecond, so a single sample
-/// would be mostly scheduler noise.
-const SETUP_REPS: usize = 200;
-/// Fewest warm sessions a run makes, however short `--seconds`: the resume
-/// tail needs at least 20 samples to have ten beyond its median.
+/// Fewest warm sessions a run makes, however short `--seconds`.
 const MIN_SESSIONS: usize = 20;
-/// Warm sessions in the traced run.
-const TRACED_SESSIONS: usize = 12;
+/// Warm sessions in the traced run: the resume tail needs at least 20
+/// samples to have ten beyond its median.
+const TRACED_SESSIONS: usize = 30;
 
 /// The result line plus the notes printed above it.
 #[derive(Debug, Default)]
@@ -185,35 +180,6 @@ fn engine_config(store: &Path) -> EngineConfig {
 }
 
 // ---- the reference -------------------------------------------------------
-
-/// The oracle's digests for `spec`: from the committed table, else from
-/// this checkout's cache, else by running the serial oracle once in a
-/// child process (outside any timed phase) and caching the result.
-fn reference_digests(spec: &Spec) -> Result<Digests, String> {
-    let seed = spec.seed();
-    if let Some(d) = oracle::lookup(oracle::RECORDED, spec.name, seed) {
-        return Ok(d);
-    }
-    let cache = Path::new(WORK_ROOT).join("oracle-digests.txt");
-    let cached = std::fs::read_to_string(&cache).unwrap_or_default();
-    if let Some(d) = oracle::lookup(&cached, spec.name, seed) {
-        return Ok(d);
-    }
-    eprintln!("no recorded digests for {} seed {seed}: running the serial oracle", spec.name);
-    let out = Command::new(std::env::current_exe().map_err(|e| e.to_string())?)
-        .args(["--oracle", spec.name, "--seed", &seed.to_string()])
-        .stderr(Stdio::inherit())
-        .output()
-        .map_err(|e| format!("oracle process: {e}"))?;
-    let text = String::from_utf8_lossy(&out.stdout).into_owned();
-    let digests = oracle::lookup(&text, spec.name, seed)
-        .filter(|_| out.status.success())
-        .ok_or_else(|| format!("oracle process failed ({}): {text}", out.status))?;
-    std::fs::create_dir_all(WORK_ROOT).map_err(|e| e.to_string())?;
-    std::fs::write(&cache, format!("{cached}{}\n", digests.line(spec.name, seed)))
-        .map_err(|e| e.to_string())?;
-    Ok(digests)
-}
 
 /// Checks a study's CSVs against the oracle; a mismatch is recorded as
 /// wrong output.
@@ -357,31 +323,23 @@ pub fn run(args: &Args) -> Result<Report, String> {
     // Initialise the registry first so its trace epoch precedes every span.
     let _ = telemetry::global();
     let mut work = WorkDir::new()?;
-    let spec = args.workload.spec(args.seed);
-    let want = reference_digests(&spec)?;
+    let name = args.workload.spec(0).name;
+    let (base_seed, want) = oracle::recorded(oracle::RECORDED, name, args.seed)
+        .ok_or_else(|| format!("benchmark/digests.txt records no seed of {name}"))?;
+    let spec = args.workload.spec(base_seed);
     let mut report = Report::default();
+    report.notes.push(format!("seed {} runs the study with base seed {base_seed}", args.seed));
     let mut log = Log::new(args.seed);
 
-    // Set-up: a fresh store and an engine over it, SETUP_REPS times; the
-    // last one runs the study.
-    let mut setups = Vec::with_capacity(SETUP_REPS);
-    let (mut engine, mut store) = set_up(&mut work, &mut setups);
-    for _ in 1..SETUP_REPS {
-        drop(engine);
-        (engine, store) = set_up(&mut work, &mut setups);
-    }
+    let (engine, store) = fresh_engine(&mut work);
 
     if args.trace {
-        // The study untraced twice: the first run of a process also pays
-        // for heap growth and page faults, so the second is the reference
-        // for the overhead. Then traced into another fresh store, followed
-        // by traced sessions.
-        let _ = cold_study(&engine, &spec, &want, &mut report, &mut log);
-        drop(engine);
-        let (engine, _) = set_up(&mut work, &mut setups);
+        // The study untraced, as in an untraced run, is the reference for
+        // the overhead; then traced into another fresh store, followed by
+        // traced sessions.
         let untraced = cold_study(&engine, &spec, &want, &mut report, &mut log).map(|(w, _)| w);
         drop(engine);
-        let (engine, store) = set_up(&mut work, &mut setups);
+        let (engine, store) = fresh_engine(&mut work);
         telemetry::global().start_tracing();
         log.record_spans = true;
         let before = Counters::now();
@@ -404,38 +362,34 @@ pub fn run(args: &Args) -> Result<Report, String> {
     let cold = cold_study(&engine, &spec, &want, &mut report, &mut log);
     drop(engine);
     let phase = Instant::now();
+    let mut open_ms = Vec::new();
     if let Some((_, reference)) = &cold {
-        let mut k = 0;
-        while k < MIN_SESSIONS || phase.elapsed() < Duration::from_secs(args.seconds) {
-            warm_session(&mut log, &store, &spec, reference, k);
-            k += 1;
+        while open_ms.len() < MIN_SESSIONS || phase.elapsed() < Duration::from_secs(args.seconds) {
+            open_ms.push(warm_session(&mut log, &store, &spec, reference, open_ms.len()));
         }
     }
     let walls: Vec<f64> = cold.iter().map(|(w, _)| *w).collect();
-    end_to_end(&mut report, &log, &setups, &walls, phase.elapsed().as_secs_f64());
+    end_to_end(&mut report, &log, &open_ms, &walls, phase.elapsed().as_secs_f64());
     Ok(report)
 }
 
-/// A fresh store and an engine over it, timed.
-fn set_up(work: &mut WorkDir, setups: &mut Vec<f64>) -> (Engine, PathBuf) {
+/// A fresh store and an engine over it, for a cold study.
+fn fresh_engine(work: &mut WorkDir) -> (Engine, PathBuf) {
     let store = work.fresh("store");
-    let t0 = Instant::now();
-    let engine = Engine::new(engine_config(&store));
-    setups.push(t0.elapsed().as_secs_f64());
-    (engine, store)
+    (Engine::new(engine_config(&store)), store)
 }
 
 // ---- metrics -----------------------------------------------------------------
 
-fn end_to_end(report: &mut Report, log: &Log, setups: &[f64], walls: &[f64], phase_s: f64) {
+/// End-to-end metrics of an untraced run. `setup_s` is the median time
+/// to start an engine over the warm store (`open_ms`, one per session):
+/// the set-up every session pays before it can resume or serve anything.
+fn end_to_end(report: &mut Report, log: &Log, open_ms: &[f64], walls: &[f64], phase_s: f64) {
     report.merge_log(log);
-    report.sampled("setup_s", median(setups), "s");
+    report.sampled("setup_s", median(open_ms).map(|ms| ms / 1e3), "s");
     report.sampled("study_wall_s", median(walls), "s");
-    report.sampled("resume_p50_ms", median(&log.resumes_ms), "ms");
-    report.tail("resume_tail_ms", &log.resumes_ms, "ms");
-    let gets: Vec<f64> = log.requests.iter().filter(|r| r.get).map(|r| r.ms).collect();
+    let gets = get_ms(log);
     report.sampled("page_p50_ms", median(&gets), "ms");
-    report.tail("page_tail_ms", &gets, "ms");
     let done = log.requests.iter().filter(|r| r.ok).count() as f64;
     report.metric("requests_per_s", done / phase_s.max(1e-9), "1/s");
     report.metric("peak_rss_mb", peak_rss_mb(), "MB");
@@ -446,6 +400,11 @@ fn end_to_end(report: &mut Report, log: &Log, setups: &[f64], walls: &[f64], pha
         log.requests.len(),
         gets.len()
     ));
+}
+
+/// Client-side times of the sessions' GET requests, in ms.
+fn get_ms(log: &Log) -> Vec<f64> {
+    log.requests.iter().filter(|r| r.get).map(|r| r.ms).collect()
 }
 
 /// Per-layer metrics of a traced phase lasting `wall` seconds, between
@@ -538,6 +497,13 @@ fn layer_metrics(
         report.metric(format!("http.response_bytes.{route}"), bytes, "B");
     }
     report.metric("http.rejected", prom("cleanml_http_rejected_total"), "count");
+
+    // Session latencies that vary too much between runs on a shared host
+    // to carry an end-to-end bound (see README.md), from the traced
+    // sessions.
+    report.sampled("resume_p50_ms", median(&log.resumes_ms), "ms");
+    report.tail("resume_tail_ms", &log.resumes_ms, "ms");
+    report.tail("page_tail_ms", &get_ms(log), "ms");
 
     report.sampled("trace.overhead_pct", overhead_pct, "%");
     let fail_ratio = report.failed as f64 / report.attempted.max(1) as f64;
