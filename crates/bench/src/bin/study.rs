@@ -28,7 +28,7 @@ use cleanml_core::schema::ErrorType;
 use cleanml_core::{CleanMlDb, Relation};
 
 /// Writes the relations in their canonical CSV form — the same renderers
-/// the serving layer ships over the wire, so a `cleanml-query` response
+/// the HTTP gateway pages from, so `GET /studies/:id/r1` (and `r2`, `r3`)
 /// byte-matches these files.
 fn dump(db: &CleanMlDb, dir: &Path) -> std::io::Result<()> {
     std::fs::write(dir.join("r1.csv"), db.r1_csv())?;
@@ -37,11 +37,10 @@ fn dump(db: &CleanMlDb, dir: &Path) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Positional `out_dir`: the first non-flag argument that is not a value of
-/// a preceding flag.
-fn out_dir_from_args() -> PathBuf {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let value_flags = [
+/// Positional `out_dir`: the first non-flag argument that is not the value
+/// of a preceding flag.
+fn out_dir_from_args(args: &[String]) -> PathBuf {
+    const VALUE_FLAGS: [&str; 9] = [
         "--splits",
         "--seed",
         "--workers",
@@ -49,18 +48,14 @@ fn out_dir_from_args() -> PathBuf {
         "--cache-max-bytes",
         "--listen",
         "--lease-timeout",
+        "--trace-out",
+        "--http-token",
     ];
-    let mut skip_next = false;
-    for a in &args {
-        if skip_next {
-            skip_next = false;
-            continue;
-        }
-        if value_flags.contains(&a.as_str()) {
-            skip_next = true;
-            continue;
-        }
-        if !a.starts_with("--") {
+    let mut args = args.iter();
+    while let Some(a) = args.next() {
+        if VALUE_FLAGS.contains(&a.as_str()) {
+            args.next();
+        } else if !a.starts_with("--") {
             return PathBuf::from(a);
         }
     }
@@ -70,7 +65,8 @@ fn out_dir_from_args() -> PathBuf {
 fn main() {
     let cfg = config_from_args();
     banner("Full CleanML study", &cfg);
-    let dir = out_dir_from_args();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let dir = out_dir_from_args(&args);
     std::fs::create_dir_all(&dir).expect("create output directory");
 
     let all = [
@@ -101,5 +97,29 @@ fn main() {
             q1.render(cleanml_core::Flag::Insignificant),
             q1.render(cleanml_core::Flag::Negative),
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn out_dir(args: &[&str]) -> PathBuf {
+        out_dir_from_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn flag_values_are_not_the_out_dir() {
+        assert_eq!(out_dir(&["--trace-out", "t.json", "out"]), PathBuf::from("out"));
+        assert_eq!(out_dir(&["--http-token", "s3cret", "--quick", "out"]), PathBuf::from("out"));
+        assert_eq!(
+            out_dir(&["--quick", "--splits", "2", "--cache-dir", "c", "o"]),
+            PathBuf::from("o")
+        );
+        assert_eq!(
+            out_dir(&["--cache-stats", "--trace-out", "t.json"]),
+            PathBuf::from("cleanml_db")
+        );
+        assert_eq!(out_dir(&[]), PathBuf::from("cleanml_db"));
     }
 }

@@ -39,8 +39,7 @@ use cleanml_core::database::FlagDist;
 use cleanml_core::schema::ErrorType;
 use cleanml_core::{CleanMlDb, ExperimentConfig};
 use cleanml_engine::{
-    parallel_map, CacheStats, Engine, EngineConfig, EngineEvent, RunReport, ServeReport, SlowTask,
-    StatsSnapshot,
+    parallel_map, CacheStats, Engine, EngineConfig, EngineEvent, RunReport, SlowTask, StatsSnapshot,
 };
 use cleanml_stats::Flag;
 
@@ -163,30 +162,6 @@ pub fn parse_error_type(token: &str) -> Option<ErrorType> {
 /// Parses a comma-separated error-type list for `--errors`.
 pub fn parse_error_types(list: &str) -> Option<Vec<ErrorType>> {
     list.split(',').map(|tok| parse_error_type(tok.trim())).collect()
-}
-
-/// Rebuilds the [`cache_stats_line`] inputs from a wire [`ServeReport`] —
-/// how `cleanml-query` prints the server's accounting.
-pub fn stats_from_serve_report(r: &ServeReport) -> (CacheStats, Option<(u64, usize)>, RunReport) {
-    let stats = CacheStats {
-        memory_hits: r.memory_hits as usize,
-        disk_hits: r.disk_hits as usize,
-        misses: r.misses as usize,
-        disk_writes: r.disk_writes as usize,
-        disk_evictions: r.disk_evictions as usize,
-    };
-    let totals = Some((r.store_bytes, r.store_entries as usize));
-    let report = RunReport {
-        executed: r.executed.iter().map(|&(k, n)| (k, n as usize)).collect(),
-        remote_executed: r.remote_executed.iter().map(|&(k, n)| (k, n as usize)).collect(),
-        cache_hits: r.cache_hits as usize,
-        pruned: r.pruned as usize,
-        total: r.total as usize,
-        workers: 0,
-        remote_workers: r.remote_workers as usize,
-        releases: r.releases as usize,
-    };
-    (stats, totals, report)
 }
 
 /// Rebuilds the [`cache_stats_line`] inputs from a telemetry
@@ -582,28 +557,6 @@ mod tests {
             Some(vec![ErrorType::Outliers, ErrorType::Duplicates])
         );
         assert_eq!(parse_error_types("outliers,bogus"), None);
-    }
-
-    #[test]
-    fn serve_report_reconstructs_the_stats_line() {
-        use cleanml_engine::TaskKind;
-        let report = ServeReport {
-            memory_hits: 5,
-            disk_hits: 1,
-            misses: 2,
-            store_entries: 3,
-            store_bytes: 4096,
-            executed: vec![(TaskKind::Reduce, 2)],
-            cache_hits: 9,
-            ..Default::default()
-        };
-        let (stats, totals, run) = stats_from_serve_report(&report);
-        let line = cache_stats_line(&stats, totals, &run, (0, 0), &[]);
-        assert!(line.contains("memory_hits=5"), "{line}");
-        assert!(line.contains("store_bytes=4096"), "{line}");
-        assert!(line.contains("executed_local=2"), "{line}");
-        assert!(line.contains("executed_train=0"), "{line}");
-        assert!(line.contains("cv_fits=0 fold_reuse=0"), "{line}");
     }
 
     #[test]

@@ -976,18 +976,26 @@ where
     }
 
     /// Starts serving `hub`'s connections for the pool's lifetime:
-    /// workers (`Hello`) lease tasks from the merged frontier; serving
-    /// clients (`Submit`) are handed to `clients` (rejected if `None`);
-    /// HTTP connections hit the results gateway (`/studies` routes
-    /// answer 503 if `gateway` is `None`, `/metrics` always serves).
+    /// workers (`Hello`) lease tasks from the merged frontier; HTTP
+    /// connections hit the results gateway (`/studies` routes answer 503
+    /// if `gateway` is `None`, `/metrics` always serves).
     pub fn serve_hub(
         &mut self,
         hub: Arc<RemoteHub>,
-        clients: Option<crate::remote::coordinator::ClientHandler>,
         gateway: Option<crate::remote::coordinator::HttpGateway>,
     ) {
-        let handle = spawn_hub_service(Arc::clone(&self.inner), hub, clients, gateway);
+        let handle = spawn_hub_service(Arc::clone(&self.inner), hub, gateway);
         self.services.push(handle);
+    }
+
+    /// Cancels submission `sid` without its handle, as
+    /// [`SubmissionHandle::cancel`] does. Returns whether it was still
+    /// running; a finished (or unknown) submission is left as it is.
+    pub fn cancel(&self, sid: SubId) -> bool {
+        let mut st = self.inner.state.lock().expect("state lock");
+        let running = st.subs.get(&sid).is_some_and(|s| !s.done);
+        self.inner.abandon_sub(&mut st, sid, None);
+        running
     }
 
     /// Merges a resolved graph into the resident table as one submission.
@@ -1516,7 +1524,7 @@ where
     let mut pool: Pool<A> = Pool::new(workers, persist.map(|sink| sink.store));
     let spec = remote.as_ref().map(|link| link.spec.clone());
     if let Some(link) = remote {
-        pool.serve_hub(link.hub, None, None);
+        pool.serve_hub(link.hub, None);
     }
     let handle = pool.submit(graph, retain, events.clone(), spec);
     handle.wait()

@@ -5,9 +5,9 @@
 //! A [`RemoteHub`] owns the TCP listener for the engine's whole lifetime
 //! and queues accepted sockets. A hub service thread
 //! ([`spawn_hub_service`], running as long as the pool) drains that queue
-//! and classifies each connection by its first message:
+//! and classifies each connection by its first bytes:
 //!
-//! * **`Hello`** — a `cleanml-worker`. The connection gets a lease-service
+//! * **a CMAF `Hello`** — a `cleanml-worker`. The connection gets a lease-service
 //!   thread that waits for a live study spec (workers may connect before
 //!   any submission exists), completes the `Hello`/`Welcome` handshake,
 //!   and then behaves like a worker thread whose "execution" is the wire:
@@ -18,10 +18,10 @@
 //!   completion bookkeeping a local worker would — the shipped payload
 //!   lands in the [`crate::cache::DiskStore`] *before* any dependent can
 //!   observe the artifact.
-//! * **`Submit`** — a serving client (`cleanml-query`). The connection is
-//!   handed to the engine's [`ClientHandler`], which creates a submission
-//!   on the resident core, streams `Status`, and ships the rendered CSV
-//!   back as a `ResultCsv`. One listener therefore serves both planes.
+//! * **an HTTP `GET `/`POST` preamble** — a client of the results gateway
+//!   ([`http`]): it scrapes `/metrics`, or submits, polls, cancels and
+//!   pages studies and single cells on the resident core. One listener
+//!   therefore serves workers and clients.
 //!
 //! Fault containment is the point of the lease: a worker that misses its
 //! deadline (no `Done`, no `Heartbeat`, no `Fetch`) or whose connection
@@ -110,12 +110,6 @@ impl Drop for RemoteHub {
     }
 }
 
-/// Handler for serving-client connections (first message `Submit`); runs
-/// on a dedicated thread per connection. The engine supplies one that
-/// creates a submission on the resident core; without one, clients are
-/// rejected.
-pub type ClientHandler = Arc<dyn Fn(TcpStream, Message) + Send + Sync>;
-
 /// The engine's HTTP results-gateway backend, shared by every classified
 /// HTTP connection. `None` (pool-only deployments, tests) serves
 /// `/metrics` but answers `/studies` routes with 503.
@@ -126,7 +120,6 @@ pub type HttpGateway = Arc<dyn http::GatewayBackend>;
 pub(crate) fn spawn_hub_service<A>(
     inner: Arc<PoolInner<A>>,
     hub: Arc<RemoteHub>,
-    clients: Option<ClientHandler>,
     gateway: Option<HttpGateway>,
 ) -> JoinHandle<()>
 where
@@ -138,9 +131,8 @@ where
                 Some(stream) => {
                     let inner = Arc::clone(&inner);
                     let hub = Arc::clone(&hub);
-                    let clients = clients.clone();
                     let gateway = gateway.clone();
-                    std::thread::spawn(move || classify(&inner, &hub, stream, clients, gateway));
+                    std::thread::spawn(move || classify(&inner, &hub, stream, gateway));
                 }
                 None => std::thread::sleep(POLL),
             }
@@ -148,15 +140,14 @@ where
     })
 }
 
-/// Reads a connection's first bytes and routes it: CMAF frames to the
-/// worker lease loop or the serving-client handler (by first message),
-/// an HTTP `GET `/`POST` preamble to the bounded results gateway, and
-/// everything else dropped before it can touch the pool.
+/// Reads a connection's first bytes and routes it: a CMAF `Hello` to the
+/// worker lease loop, an HTTP `GET `/`POST` preamble to the bounded
+/// results gateway, and everything else dropped before it can touch the
+/// pool.
 fn classify<A>(
     inner: &Arc<PoolInner<A>>,
     hub: &RemoteHub,
     stream: TcpStream,
-    clients: Option<ClientHandler>,
     gateway: Option<HttpGateway>,
 ) where
     A: Clone + Send + Sync + DiskCodec + 'static,
@@ -229,17 +220,9 @@ fn classify<A>(
             Polled::Closed => return,
         }
     };
-    match first {
-        hello @ Message::Hello { .. } => serve_worker(inner, hub, stream, hello),
-        submit @ Message::Submit { .. } => match clients {
-            Some(handler) => handler(stream, submit),
-            None => {
-                let reason = "this coordinator does not accept serving clients".to_string();
-                let _ = proto::send(&mut &stream, &Message::Reject { reason });
-            }
-        },
-        _ => {} // protocol violation: drop the connection
-    }
+    if let hello @ Message::Hello { .. } = first {
+        serve_worker(inner, hub, stream, hello);
+    } // anything else is a protocol violation: drop the connection
 }
 
 /// Serves one `Fetch`: the resident entry's artifact or the warm LRU

@@ -1,17 +1,19 @@
 //! A bounded HTTP/1.1 results gateway mounted on the hub listener.
 //!
 //! The hub classifies connections by their first bytes: CMAF frames go
-//! to the worker/serving planes, and an HTTP `GET `/`POST` preamble
-//! lands here. What started as a single-endpoint `/metrics` responder is
-//! now the daemon's typed query surface — a PostgREST-flavoured, strictly
-//! bounded subset:
+//! to the worker plane, and an HTTP `GET `/`POST` preamble lands here.
+//! This is the daemon's one client protocol — a PostgREST-flavoured,
+//! strictly bounded subset:
 //!
 //! * `GET  /metrics` — Prometheus scrape (open, no auth);
 //! * `GET  /studies[.json]` — list gateway submissions and their status;
 //! * `POST /studies` — submit a study spec (form-encoded body:
-//!   `errors=outliers,mislabels&profile=quick&splits=6&seed=1`), returns
-//!   `{"id":N}` to poll;
+//!   `errors=outliers,mislabels&profile=quick&splits=6&seed=1`), or one
+//!   cell of it with `cell=DATASET/DETECTION/REPAIR/MODEL` and exactly
+//!   one error type; returns `{"id":N}` to poll;
 //! * `GET  /studies/:id[.json]` — one submission's status/progress;
+//! * `POST /studies/:id/cancel` — withdraw a running submission: its
+//!   exclusive subgraph is released and the entry reads `failed`;
 //! * `GET  /studies/:id/r1|r2|r3[.csv|.json]` — page result rows with
 //!   `?model=…&dataset=…&error=…&order=…&limit=…&offset=…`.
 //!
@@ -42,6 +44,7 @@ use cleanml_core::database::{csv_line, relation_columns};
 use cleanml_core::{CleanMlDb, ExperimentConfig, Relation};
 
 use crate::pool::PoolInner;
+use crate::study::CellQuery;
 use crate::telemetry;
 
 /// Hard cap on one request head (request line + headers), enforced on
@@ -140,6 +143,8 @@ pub enum GatewayError {
     Failed(String),
     /// The engine behind the gateway is gone (shutdown race).
     Unavailable,
+    /// The engine refused the request (unknown dataset, method or model).
+    Invalid(String),
 }
 
 /// What the wire layer needs from the engine: a submission registry.
@@ -151,8 +156,12 @@ pub trait GatewayBackend: Send + Sync {
     fn list(&self) -> Vec<StudyStatus>;
     /// One submission's status.
     fn status(&self, id: u64) -> Option<StudyStatus>;
-    /// Submit a spec through the resident core; returns an id to poll.
-    fn submit(&self, spec: SubmitSpec) -> Result<u64, GatewayError>;
+    /// Submit a spec — the whole study, or only `cell` of it — through the
+    /// resident core; returns an id to poll.
+    fn submit(&self, spec: SubmitSpec, cell: Option<CellQuery>) -> Result<u64, GatewayError>;
+    /// Withdraw a submission; returns its status afterwards. A finished
+    /// submission is left as it is.
+    fn cancel(&self, id: u64) -> Result<StudyStatus, GatewayError>;
     /// A finished submission's relations.
     fn results(&self, id: u64) -> Result<Arc<CleanMlDb>, GatewayError>;
 }
@@ -182,6 +191,7 @@ enum Route {
     Submit,
     Status(u64, Format),
     Rows(u64, Relation, Format),
+    Cancel(u64),
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -200,6 +210,7 @@ impl Route {
             Route::Submit => 2,
             Route::Status(..) => 3,
             Route::Rows(..) => 4,
+            Route::Cancel(_) => 5,
         }
     }
 
@@ -256,6 +267,7 @@ pub(crate) fn serve_http<A>(
         Route::Rows(id, relation, format) => {
             serve_rows(gateway, id, relation, &req, format, &mut stream)
         }
+        Route::Cancel(id) => serve_cancel(gateway, id, &mut stream),
     }
     t.http_route_seconds[ri].observe(started.elapsed());
 }
@@ -317,14 +329,14 @@ fn serve_submit(
         json_error(stream, "400 Bad Request", "malformed form body");
         return;
     };
-    let spec = match parse_submit(&pairs) {
-        Ok(spec) => spec,
+    let (spec, cell) = match parse_submit(&pairs) {
+        Ok(parsed) => parsed,
         Err(e) => {
             json_error(stream, "400 Bad Request", &e);
             return;
         }
     };
-    match gateway.submit(spec) {
+    match gateway.submit(spec, cell) {
         Ok(id) => {
             let body = format!("{{\"id\":{id},\"state\":\"running\"}}\n");
             respond(stream, "201 Created", "application/json", &body);
@@ -335,7 +347,25 @@ fn serve_submit(
         Err(GatewayError::Unavailable) => {
             json_error(stream, "503 Service Unavailable", "engine shutting down")
         }
+        Err(GatewayError::Invalid(e)) => json_error(stream, "400 Bad Request", &e),
         Err(e) => json_error(stream, "500 Internal Server Error", &format!("{e:?}")),
+    }
+}
+
+fn serve_cancel(gateway: Option<&Arc<dyn GatewayBackend>>, id: u64, stream: &mut TcpStream) {
+    let Some(gateway) = gateway else {
+        json_error(stream, "503 Service Unavailable", "results gateway unavailable");
+        return;
+    };
+    match gateway.cancel(id) {
+        Ok(s) => {
+            let body = format!("{}\n", status_json(&s));
+            respond(stream, "200 OK", "application/json", &body);
+        }
+        Err(GatewayError::NotFound) => {
+            json_error(stream, "404 Not Found", &format!("no study {id}"))
+        }
+        Err(e) => json_error(stream, "503 Service Unavailable", &format!("{e:?}")),
     }
 }
 
@@ -574,6 +604,11 @@ fn parse_route(method: HttpMethod, path: &str) -> Option<Route> {
         (HttpMethod::Post, "studies", None, None) if format.is_none() => Route::Submit,
         (HttpMethod::Get, "studies", Some(id), None) => {
             Route::Status(parse_id(id)?, format.unwrap_or(Format::Json))
+        }
+        (HttpMethod::Post, "studies", Some(id), Some("cancel"))
+            if format.is_none() && segs.next().is_none() =>
+        {
+            Route::Cancel(parse_id(id)?)
         }
         (HttpMethod::Get, "studies", Some(id), Some(table)) => {
             if segs.next().is_some() {
@@ -828,14 +863,17 @@ fn numbers_equal(a: &str, b: &str) -> bool {
 
 /// Parses the form-encoded `POST /studies` body pairs into a spec:
 /// `errors` (comma-separated error types, required), `profile`
-/// (`quick`/`standard`/`paper`, default standard), `splits`, `seed`.
-pub fn parse_submit(pairs: &[(String, String)]) -> Result<SubmitSpec, String> {
+/// (`quick`/`standard`/`paper`, default standard), `splits`, `seed`, and
+/// an optional `cell` (`DATASET/DETECTION/REPAIR/MODEL`, catalogue names)
+/// that narrows the submission to one cell of a single error type.
+pub fn parse_submit(pairs: &[(String, String)]) -> Result<(SubmitSpec, Option<CellQuery>), String> {
     let mut spec = SubmitSpec {
         error_types: Vec::new(),
         profile: Profile::Standard,
         splits: None,
         seed: None,
     };
+    let mut cell = None;
     for (key, value) in pairs {
         match key.as_str() {
             "errors" => {
@@ -866,13 +904,29 @@ pub fn parse_submit(pairs: &[(String, String)]) -> Result<SubmitSpec, String> {
                 spec.seed =
                     Some(value.parse().map_err(|_| format!("seed: not a number: {value:?}"))?);
             }
+            "cell" => {
+                let parts: Vec<&str> = value.split('/').collect();
+                let [dataset, detection, repair, model] = parts[..] else {
+                    return Err(format!(
+                        "cell: expected DATASET/DETECTION/REPAIR/MODEL: {value:?}"
+                    ));
+                };
+                cell = Some([dataset, detection, repair, model].map(str::to_string));
+            }
             other => return Err(format!("unknown field {other:?}")),
         }
     }
     if spec.error_types.is_empty() {
         return Err("errors: at least one error type required".to_string());
     }
-    Ok(spec)
+    let cell = match (cell, &spec.error_types[..]) {
+        (None, _) => None,
+        (Some([dataset, detection, repair, model]), &[error_type]) => {
+            Some(CellQuery { error_type, dataset, detection, repair, model })
+        }
+        (Some(_), _) => return Err("cell: a cell names exactly one error type".to_string()),
+    };
+    Ok((spec, cell))
 }
 
 fn parse_error_type(s: &str) -> Result<ErrorType, String> {
@@ -1114,6 +1168,10 @@ mod tests {
             parse_route(HttpMethod::Get, "/studies/7/r3.json"),
             Some(Route::Rows(7, Relation::R3, Format::Json))
         );
+        assert_eq!(parse_route(HttpMethod::Post, "/studies/7/cancel"), Some(Route::Cancel(7)));
+        assert_eq!(parse_route(HttpMethod::Get, "/studies/7/cancel"), None);
+        assert_eq!(parse_route(HttpMethod::Post, "/studies/7/cancel.json"), None);
+        assert_eq!(parse_route(HttpMethod::Post, "/studies/7/cancel/x"), None);
         assert_eq!(parse_route(HttpMethod::Post, "/metrics"), None);
         assert_eq!(parse_route(HttpMethod::Post, "/studies/7"), None);
         assert_eq!(parse_route(HttpMethod::Get, "/studies/7/r4"), None);
@@ -1240,11 +1298,32 @@ mod tests {
     #[test]
     fn submit_spec_parses_and_fails_closed() {
         let pairs = parse_query("errors=outliers,missing_values&profile=quick&splits=6").unwrap();
-        let spec = parse_submit(&pairs).unwrap();
+        let (spec, cell) = parse_submit(&pairs).unwrap();
         assert_eq!(spec.error_types, vec![ErrorType::Outliers, ErrorType::MissingValues]);
         assert_eq!(spec.profile, Profile::Quick);
+        assert_eq!(cell, None);
         let cfg = spec.config();
         assert_eq!(cfg.n_splits, 6);
+
+        let pairs =
+            parse_query("errors=outliers&cell=Sensor/IQR/Mean/Logistic+Regression").unwrap();
+        let (_, cell) = parse_submit(&pairs).unwrap();
+        assert_eq!(
+            cell,
+            Some(CellQuery {
+                error_type: ErrorType::Outliers,
+                dataset: "Sensor".into(),
+                detection: "IQR".into(),
+                repair: "Mean".into(),
+                model: "Logistic Regression".into(),
+            })
+        );
+        // a cell names exactly one error type and all four coordinates
+        assert!(
+            parse_submit(&parse_query("errors=outliers,duplicates&cell=a/b/c/d").unwrap()).is_err()
+        );
+        assert!(parse_submit(&parse_query("errors=outliers&cell=a/b/c").unwrap()).is_err());
+        assert!(parse_submit(&parse_query("errors=outliers&cell=a/b/c/d/e").unwrap()).is_err());
 
         assert!(parse_submit(&parse_query("profile=quick").unwrap()).is_err()); // no errors
         assert!(parse_submit(&parse_query("errors=bogus").unwrap()).is_err());

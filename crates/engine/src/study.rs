@@ -42,9 +42,9 @@ use cleanml_dataset::{Encoder, FeatureMatrix};
 use crate::cache::{ArtifactCache, CacheKey, CacheStats, DiskCodec, DiskStore};
 use crate::event::{emit, EngineEvent, EventSink, TaskKind};
 use crate::graph::{NodeState, TaskGraph, TaskId};
-use crate::pool::{Pool, RunReport, SubmissionHandle};
+use crate::pool::{Pool, RunReport, SubId, SubmissionHandle};
 use crate::remote::http::{GatewayBackend, GatewayError, StudyState, StudyStatus, SubmitSpec};
-use crate::remote::{ClientHandler, RemoteHub, StudySpec};
+use crate::remote::{HttpGateway, RemoteHub, StudySpec};
 use crate::telemetry;
 
 /// One batched Evaluate result: every `(dirty model, clean model)` cell of a
@@ -324,9 +324,10 @@ pub struct EngineConfig {
     /// store evicts least-recently-used artifacts to stay under it. `None`
     /// leaves the store unbounded.
     pub cache_max_bytes: Option<u64>,
-    /// `--listen ADDR`: accept remote `cleanml-worker` connections on this
-    /// address (`127.0.0.1:0` binds an ephemeral port, reported by
-    /// [`Engine::remote_addr`]). `None` keeps execution purely local.
+    /// `--listen ADDR`: accept remote `cleanml-worker` connections and HTTP
+    /// gateway clients on this address (`127.0.0.1:0` binds an ephemeral
+    /// port, reported by [`Engine::remote_addr`]). `None` keeps execution
+    /// purely local.
     pub listen: Option<String>,
     /// `--lease-timeout`: how long a leased worker may go silent (no
     /// `Done`, `Fetch` or `Heartbeat`) before its task is re-queued.
@@ -371,15 +372,15 @@ impl EngineConfig {
 /// overlapping submissions dedupe into the same in-flight tasks by
 /// content address, a repeated submission answers from the warm memo
 /// without executing anything, and with `listen` configured the same
-/// listener serves lease-based remote workers *and* `cleanml-query`
-/// clients (see `cleanml-serve`).
+/// listener serves lease-based remote workers *and* the HTTP results
+/// gateway (see `cleanml-serve`).
 pub struct Engine {
     inner: Arc<EngineInner>,
 }
 
-/// Engine state shared with the serving plane (client-connection threads
-/// hold a [`Weak`] to it, so a dropped engine refuses new clients instead
-/// of leaking).
+/// Engine state shared with the HTTP gateway (its backend holds a
+/// [`Weak`] to it, so a dropped engine refuses new clients instead of
+/// leaking).
 pub(crate) struct EngineInner {
     cache: Mutex<ArtifactCache<Artifact>>,
     store: Option<Arc<DiskStore>>,
@@ -394,7 +395,7 @@ impl Engine {
     /// until the engine drops. With `listen` set, the remote hub binds
     /// immediately (panicking on an unusable address — a misconfigured
     /// coordinator must fail loudly, not run silently local-only) and its
-    /// service loop classifies connections into workers and serving
+    /// service loop classifies connections into workers and HTTP gateway
     /// clients for the engine's lifetime.
     pub fn new(cfg: EngineConfig) -> Self {
         let store = cfg.cache_dir.clone().map(|dir| DiskStore::open(dir, cfg.cache_max_bytes));
@@ -406,13 +407,9 @@ impl Engine {
         let inner = Arc::new_cyclic(|weak: &Weak<EngineInner>| {
             let mut pool: Pool<Artifact> = Pool::new(workers, store.clone());
             if let Some(hub) = &hub {
-                let handler_weak = weak.clone();
-                let handler: ClientHandler = Arc::new(move |stream, first| {
-                    crate::serve::handle_client(&handler_weak, stream, first);
-                });
-                let gateway: crate::remote::HttpGateway =
+                let gateway: HttpGateway =
                     Arc::new(EngineGateway { engine: weak.clone(), token: cfg.http_token.clone() });
-                pool.serve_hub(Arc::clone(hub), Some(handler), Some(gateway));
+                pool.serve_hub(Arc::clone(hub), Some(gateway));
             }
             EngineInner {
                 cache: Mutex::new(ArtifactCache::with_store(store.clone())),
@@ -442,7 +439,7 @@ impl Engine {
         self.inner.store.as_ref()
     }
 
-    /// The address remote workers and serving clients connect to, if
+    /// The address remote workers and HTTP clients connect to, if
     /// `listen` is configured.
     pub fn remote_addr(&self) -> Option<SocketAddr> {
         self.inner.hub.as_ref().map(|h| h.local_addr())
@@ -615,16 +612,6 @@ impl EngineInner {
             resolve_stats,
         }
     }
-
-    /// `(entries, payload bytes)` of the persistent store, zero without
-    /// one.
-    pub(crate) fn store_totals(&self) -> (u64, usize) {
-        self.store.as_ref().map_or((0, 0), |s| (s.total_bytes(), s.len()))
-    }
-
-    pub(crate) fn store(&self) -> Option<&Arc<DiskStore>> {
-        self.store.as_ref()
-    }
 }
 
 // ---- HTTP results gateway (submission registry) ---------------------
@@ -645,10 +632,12 @@ enum GatewayResult {
 }
 
 /// One `POST /studies` submission: progress counters updated by its
-/// waiter thread, terminal state holding the finished relations.
+/// waiter thread, terminal state holding the finished relations, and the
+/// pool submission that `POST /studies/:id/cancel` withdraws.
 struct GatewayEntry {
     id: u64,
     errors: Vec<ErrorType>,
+    sub: SubId,
     done: AtomicU64,
     to_run: AtomicU64,
     state: Mutex<GatewayResult>,
@@ -672,6 +661,23 @@ impl GatewayEntry {
 
     fn running(&self) -> bool {
         matches!(*self.state.lock().expect("gateway entry lock"), GatewayResult::Running)
+    }
+}
+
+/// Holds the `cleanml_submissions_active` gauge up while a gateway
+/// submission's waiter runs, and lowers it on every exit path.
+struct ActiveGuard;
+
+impl ActiveGuard {
+    fn new() -> ActiveGuard {
+        telemetry::global().submissions_active.inc();
+        ActiveGuard
+    }
+}
+
+impl Drop for ActiveGuard {
+    fn drop(&mut self) {
+        telemetry::global().submissions_active.dec();
     }
 }
 
@@ -713,15 +719,27 @@ impl GatewayBackend for EngineGateway {
         table.entries.get(&id).map(|e| e.status())
     }
 
-    fn submit(&self, spec: SubmitSpec) -> std::result::Result<u64, GatewayError> {
+    fn submit(
+        &self,
+        spec: SubmitSpec,
+        cell: Option<CellQuery>,
+    ) -> std::result::Result<u64, GatewayError> {
         let Some(inner) = self.engine.upgrade() else { return Err(GatewayError::Unavailable) };
         let cfg = spec.config();
-        let entry = {
+        let t = telemetry::global();
+        // Submitting under the table lock keeps the capacity check and the
+        // registration atomic; a refused cell registers nothing.
+        let (entry, submission) = {
             let mut table = inner.gateway.table.lock().expect("gateway lock");
             let running = table.entries.values().filter(|e| e.running()).count();
             if running >= MAX_GATEWAY_RUNNING {
                 return Err(GatewayError::Busy);
             }
+            let submission = match &cell {
+                None => inner.submit_study(&spec.error_types, &cfg, None),
+                Some(query) => EngineInner::submit_query(&inner, query, &cfg, None)
+                    .map_err(|e| GatewayError::Invalid(e.to_string()))?,
+            };
             if table.entries.len() >= MAX_GATEWAY_ENTRIES {
                 // Evict the oldest finished entry; if everything retained
                 // is somehow still running, refuse rather than grow.
@@ -738,15 +756,24 @@ impl GatewayBackend for EngineGateway {
             let entry = Arc::new(GatewayEntry {
                 id: table.next_id,
                 errors: spec.error_types.clone(),
+                sub: submission.handle.id(),
                 done: AtomicU64::new(0),
                 to_run: AtomicU64::new(0),
                 state: Mutex::new(GatewayResult::Running),
             });
             table.entries.insert(entry.id, Arc::clone(&entry));
-            entry
+            (entry, submission)
         };
-        telemetry::global().submissions_study.inc();
-        let submission = inner.submit_study(&spec.error_types, &cfg, None);
+        match cell {
+            None => t.submissions_study.inc(),
+            Some(_) => t.submissions_cell.inc(),
+        }
+        // A submission with nothing to run was answered entirely from the
+        // warm memo/store.
+        if submission.progress().1 == 0 {
+            t.warm_answers.inc();
+        }
+        let active = ActiveGuard::new();
         let id = entry.id;
         // The waiter owns the submission (and through it a strong engine
         // handle): it samples progress until completion, then parks the
@@ -768,9 +795,33 @@ impl GatewayBackend for EngineGateway {
                 Ok((db, _report)) => GatewayResult::Done(Arc::new(db)),
                 Err(e) => GatewayResult::Failed(e.to_string()),
             };
-            *entry.state.lock().expect("gateway entry lock") = result;
+            // The gauge falls before the entry reads finished, so a client
+            // that saw `done` never scrapes a stale count.
+            drop(active);
+            let mut state = entry.state.lock().expect("gateway entry lock");
+            // A cancelled entry already reads `failed`.
+            if matches!(*state, GatewayResult::Running) {
+                *state = result;
+            }
         });
         Ok(id)
+    }
+
+    fn cancel(&self, id: u64) -> std::result::Result<StudyStatus, GatewayError> {
+        let Some(inner) = self.engine.upgrade() else { return Err(GatewayError::Unavailable) };
+        let entry = {
+            let table = inner.gateway.table.lock().expect("gateway lock");
+            table.entries.get(&id).cloned()
+        };
+        let entry = entry.ok_or(GatewayError::NotFound)?;
+        {
+            let mut state = entry.state.lock().expect("gateway entry lock");
+            if matches!(*state, GatewayResult::Running) && inner.pool.cancel(entry.sub) {
+                telemetry::global().cancellations.inc();
+                *state = GatewayResult::Failed("submission cancelled".into());
+            }
+        }
+        Ok(entry.status())
     }
 
     fn results(&self, id: u64) -> std::result::Result<Arc<CleanMlDb>, GatewayError> {
@@ -878,7 +929,7 @@ impl StudySubmission {
             db.r3.extend(grid.r3_rows()?);
         }
         db.apply_benjamini_yekutieli(alpha);
-        if let Some(store) = inner.store() {
+        if let Some(store) = &inner.store {
             store.flush();
         }
 

@@ -44,7 +44,7 @@ pub const NKINDS: usize = TaskKind::ALL.len();
 ///   http_requests = http_rejected + http_not_found + http_unauthorized
 ///                 + Σ http_route_requests
 /// — every request that reaches the HTTP plane lands in exactly one bucket.
-pub const HTTP_ROUTES: [&str; 5] = ["metrics", "studies", "submit", "status", "rows"];
+pub const HTTP_ROUTES: [&str; 6] = ["metrics", "studies", "submit", "status", "rows", "cancel"];
 pub const NROUTES: usize = HTTP_ROUTES.len();
 
 /// Histogram bucket upper bounds, in seconds. Fixed at compile time so
@@ -328,7 +328,8 @@ pub struct Telemetry {
     pub(crate) workers_joined: Counter,
     pub(crate) workers_connected: Gauge,
 
-    // Serving plane (serve.rs) and the /metrics responder itself.
+    // Submissions through the HTTP gateway (study.rs) and the HTTP plane
+    // itself (remote/http.rs).
     pub(crate) submissions_study: Counter,
     pub(crate) submissions_cell: Counter,
     pub(crate) submissions_active: Gauge,
@@ -436,10 +437,6 @@ impl Telemetry {
 
     pub fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    pub fn events_dropped(&self) -> u64 {
-        self.events_dropped.get()
     }
 
     /// Per-kind execute-latency summary (local executions only).

@@ -10,10 +10,16 @@
 //!   route with 401 before anything touches the registry, while
 //!   `/metrics` stays open;
 //! * unknown ids 404, bad query strings 400, and the per-route
-//!   telemetry counters account for all of it.
+//!   telemetry counters account for all of it;
+//! * the whole client protocol over HTTP: a cold study (one of two live
+//!   submissions of the same spec, the other cancelled mid-run) and its
+//!   warm repeat are byte-identical to the serial run, the warm repeat
+//!   executes nothing, a warm single cell trains nothing, an unknown cell
+//!   is a 400, and the submission gauges and counters move accordingly.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use cleanml_core::database::{csv_line, relation_columns};
@@ -22,6 +28,14 @@ use cleanml_core::{run_study, ExperimentConfig, Relation};
 use cleanml_engine::{parse_query, Engine, EngineConfig, Select};
 
 const TOKEN: &str = "integration-s3cret";
+
+/// The tests here read process-global counters off `/metrics`; they run
+/// one at a time so another test's study cannot move them mid-assertion.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn tiny_cfg() -> ExperimentConfig {
     ExperimentConfig { n_splits: 2, parallel: false, ..ExperimentConfig::quick() }
@@ -95,6 +109,7 @@ fn json_u64(body: &str, key: &str) -> u64 {
 
 #[test]
 fn gateway_submits_polls_and_pages_rows_byte_identical_to_csv() {
+    let _serial = serial();
     let cfg = tiny_cfg();
     let ets = [ErrorType::Inconsistencies];
     let serial = run_study(&ets, &cfg).expect("serial reference study");
@@ -133,21 +148,10 @@ fn gateway_submits_polls_and_pages_rows_byte_identical_to_csv() {
     assert!(status.starts_with("HTTP/1.1 400"), "missing errors: {status}");
 
     // -- poll to done --------------------------------------------------
-    let deadline = Instant::now() + Duration::from_secs(300);
-    loop {
-        let response = get(addr, &format!("/studies/{id}"), Some(TOKEN));
-        let (status, body) = split_response(&response);
-        assert!(status.starts_with("HTTP/1.1 200"), "status poll: {status}: {body}");
-        if body.contains("\"state\":\"done\"") {
-            let done = json_u64(&body, "done");
-            let to_run = json_u64(&body, "to_run");
-            assert_eq!(done, to_run, "finished study must report full progress: {body}");
-            break;
-        }
-        assert!(!body.contains("\"state\":\"failed\""), "study failed: {body}");
-        assert!(Instant::now() < deadline, "study did not finish in time");
-        std::thread::sleep(Duration::from_millis(100));
-    }
+    let body = wait_finished(addr, id);
+    assert!(body.contains("\"state\":\"done\""), "study failed: {body}");
+    let (done, to_run) = (json_u64(&body, "done"), json_u64(&body, "to_run"));
+    assert_eq!(done, to_run, "finished study must report full progress: {body}");
 
     // The submission also shows up in the list route.
     let (status, body) = split_response(&get(addr, "/studies", Some(TOKEN)));
@@ -231,4 +235,149 @@ fn gateway_submits_polls_and_pages_rows_byte_identical_to_csv() {
         let value: u64 = line.rsplit(' ').next().unwrap().parse().unwrap();
         assert!(value > 0, "{family} never incremented:\n{scrape}");
     }
+}
+
+// -- the client protocol end to end ------------------------------------
+
+/// `POST /studies` with `body`; returns the new id.
+fn submit(addr: SocketAddr, body: &str) -> u64 {
+    let (status, reply) = split_response(&post(addr, "/studies", Some(TOKEN), body));
+    assert!(status.starts_with("HTTP/1.1 201"), "submit {body}: {status}: {reply}");
+    json_u64(&reply, "id")
+}
+
+/// Polls `GET /studies/:id` until the entry leaves `running`; returns
+/// the final status body.
+fn wait_finished(addr: SocketAddr, id: u64) -> String {
+    let deadline = Instant::now() + Duration::from_secs(300);
+    loop {
+        let (status, body) = split_response(&get(addr, &format!("/studies/{id}"), Some(TOKEN)));
+        assert!(status.starts_with("HTTP/1.1 200"), "status poll: {status}: {body}");
+        if !body.contains("\"state\":\"running\"") {
+            return body;
+        }
+        assert!(Instant::now() < deadline, "study {id} did not finish in time");
+        std::thread::sleep(Duration::from_millis(50));
+    }
+}
+
+/// R1, R2 and R3 of a finished entry as whole CSVs.
+fn relations(addr: SocketAddr, id: u64) -> [String; 3] {
+    ["r1", "r2", "r3"].map(|table| {
+        let (status, body) =
+            split_response(&get(addr, &format!("/studies/{id}/{table}"), Some(TOKEN)));
+        assert!(status.starts_with("HTTP/1.1 200"), "{table} of {id}: {status}: {body}");
+        body
+    })
+}
+
+fn scrape(addr: SocketAddr) -> String {
+    split_response(&get(addr, "/metrics", None)).1
+}
+
+/// The value of one exact series (`name` or `name{labels}`).
+fn sample(scrape: &str, series: &str) -> i64 {
+    scrape
+        .lines()
+        .find_map(|l| l.strip_prefix(series)?.strip_prefix(' '))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("{series} missing:\n{scrape}"))
+}
+
+/// Every sample line of a family whose name starts with `prefix`.
+fn series<'a>(scrape: &'a str, prefix: &str) -> Vec<&'a str> {
+    scrape.lines().filter(|l| l.starts_with(prefix)).collect()
+}
+
+#[test]
+fn http_clients_get_byte_identical_csvs_warm_cells_and_cancel() {
+    let _serial = serial();
+    // A non-default seed pins that `seed=` reaches the engine's config.
+    let cfg = ExperimentConfig { base_seed: 7, ..tiny_cfg() };
+    let serial = run_study(&[ErrorType::Inconsistencies], &cfg).expect("serial study");
+    let expected = [serial.r1_csv(), serial.r2_csv(), serial.r3_csv()];
+    let spec = "errors=inconsistencies&profile=quick&splits=2&seed=7";
+
+    let engine = gateway_engine(4);
+    let addr = engine.remote_addr().expect("hub bound");
+    let idle = scrape(addr);
+    let active = |scrape: &str| sample(scrape, "cleanml_submissions_active");
+    let cancellations = |scrape: &str| sample(scrape, "cleanml_cancellations_total");
+
+    // -- cold: two live submissions of one spec, the first withdrawn ----
+    let doomed = submit(addr, spec);
+    let kept = submit(addr, spec);
+    let running = scrape(addr);
+    assert_eq!(active(&running), active(&idle) + 2, "both waiters hold the gauge:\n{running}");
+
+    let (status, body) =
+        split_response(&post(addr, &format!("/studies/{doomed}/cancel"), Some(TOKEN), ""));
+    assert!(status.starts_with("HTTP/1.1 200"), "cancel: {status}: {body}");
+    assert!(body.contains("\"state\":\"failed\""), "cancelled entry must read failed: {body}");
+    let body = wait_finished(addr, doomed);
+    assert!(body.contains("\"state\":\"failed\""), "{body}");
+    let (status, _) = split_response(&get(addr, &format!("/studies/{doomed}/r1"), Some(TOKEN)));
+    assert!(status.starts_with("HTTP/1.1 500"), "a cancelled entry has no rows: {status}");
+
+    // The surviving submission shared every task with the withdrawn one;
+    // only the withdrawn one's exclusive subgraph (none) was released.
+    let body = wait_finished(addr, kept);
+    assert!(body.contains("\"state\":\"done\""), "surviving submission: {body}");
+    assert_eq!(relations(addr, kept), expected, "cold R1-R3 vs serial run_study");
+
+    // Cancelling a finished entry leaves it as it is.
+    let (status, body) =
+        split_response(&post(addr, &format!("/studies/{kept}/cancel"), Some(TOKEN), ""));
+    assert!(status.starts_with("HTTP/1.1 200"), "cancel after done: {status}: {body}");
+    assert!(body.contains("\"state\":\"done\""), "{body}");
+    let (status, _) = split_response(&post(addr, "/studies/9999/cancel", Some(TOKEN), ""));
+    assert!(status.starts_with("HTTP/1.1 404"), "cancel of an unknown id: {status}");
+    let cold = scrape(addr);
+    assert_eq!(cancellations(&cold), cancellations(&idle) + 1, "one real cancellation:\n{cold}");
+    assert_eq!(active(&cold), active(&idle), "finished waiters release the gauge:\n{cold}");
+
+    // -- warm repeat: byte-identical, nothing executed -----------------
+    let warm = submit(addr, spec);
+    let body = wait_finished(addr, warm);
+    assert!(body.contains("\"state\":\"done\""), "warm repeat: {body}");
+    assert_eq!(relations(addr, warm), expected, "warm repeat must be byte-identical");
+    let warmed = scrape(addr);
+    let executed = "cleanml_tasks_executed_total";
+    assert_eq!(series(&cold, executed), series(&warmed, executed), "warm repeat executed tasks");
+    let warm_answers = |scrape: &str| sample(scrape, "cleanml_warm_answers_total");
+    assert_eq!(warm_answers(&warmed), warm_answers(&cold) + 1, "warm answer not counted");
+
+    // -- a warm single cell: its R1 rows, no training ------------------
+    let cell =
+        submit(addr, &format!("{spec}&cell=University/OpenRefine/Merge/Logistic+Regression"));
+    let body = wait_finished(addr, cell);
+    assert!(body.contains("\"state\":\"done\""), "cell: {body}");
+    let [r1, _, _] = relations(addr, cell);
+    assert!(
+        r1.contains("University,Inconsistencies,OpenRefine,Merge,Logistic Regression"),
+        "cell R1 must carry the requested cell's rows:\n{r1}"
+    );
+    let celled = scrape(addr);
+    let train = "cleanml_tasks_executed_total{kind=\"train\"";
+    assert_eq!(series(&warmed, train), series(&celled, train), "warm cell retrained");
+    let cells = |scrape: &str| sample(scrape, "cleanml_submissions_total{kind=\"cell\"}");
+    assert_eq!(cells(&celled), cells(&warmed) + 1, "cell submission not counted");
+
+    // -- an unknown cell is refused with the engine's message -----------
+    let response =
+        post(addr, "/studies", Some(TOKEN), &format!("{spec}&cell=Atlantis/OpenRefine/Merge/KNN"));
+    let (status, body) = split_response(&response);
+    assert!(status.starts_with("HTTP/1.1 400"), "unknown dataset: {status}: {body}");
+    assert!(body.contains("unknown dataset"), "{body}");
+    let (status, body) = split_response(&post(
+        addr,
+        "/studies",
+        Some(TOKEN),
+        "errors=inconsistencies,outliers&cell=University/OpenRefine/Merge/KNN",
+    ));
+    assert!(status.starts_with("HTTP/1.1 400"), "cell over two error types: {status}: {body}");
+    let after = scrape(addr);
+    assert_eq!(cells(&after), cells(&celled), "a refused cell is not a submission");
+    assert_eq!(active(&after), active(&idle), "gauge back at rest:\n{after}");
+    assert!(sample(&after, "cleanml_http_route_requests_total{route=\"cancel\"}") >= 3);
 }

@@ -7,18 +7,14 @@
 //! * a repeated submission executes zero `Train` tasks (warm in-memory
 //!   reuse, not just a disk hit);
 //! * cancelling one submission mid-run releases its subgraph without
-//!   disturbing another submission's byte-identical output;
-//! * the serving protocol end to end over real loopback TCP: `Submit` a
-//!   study (cold, then warm) and a single cell, stream `Status`, receive
-//!   `ResultCsv` — the wire CSV byte-matches the canonical rendering and
-//!   the warm report shows zero training.
+//!   disturbing another submission's byte-identical output.
+//!
+//! The same guarantees over the wire are pinned in `http_gateway.rs`.
 
-use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use cleanml_core::schema::ErrorType;
 use cleanml_core::{run_study, CleanMlDb, ExperimentConfig};
-use cleanml_engine::remote::{proto, Message, Request, ServeReport, StudySpec};
 use cleanml_engine::{Engine, EngineConfig, RunReport, TaskKind};
 
 fn tiny_cfg() -> ExperimentConfig {
@@ -26,7 +22,7 @@ fn tiny_cfg() -> ExperimentConfig {
 }
 
 /// The canonical CSV rendering (headers included) — exactly what the
-/// serving layer ships and the `study` binary writes.
+/// `study` binary writes.
 fn csv_of(db: &CleanMlDb) -> String {
     format!("{}{}{}", db.r1_csv(), db.r2_csv(), db.r3_csv())
 }
@@ -97,95 +93,4 @@ fn cancel_mid_run_leaves_the_other_submission_byte_identical() {
     let (db, report) = keep.wait().expect("surviving submission");
     assert_eq!(csv_of(&db), csv_of(&serial), "cancel disturbed the surviving submission");
     assert!(trains(&report) > 0);
-}
-
-// -- the serving protocol over real loopback TCP ---------------------------
-
-/// Drives one `Submit` conversation to completion; returns the CSV text
-/// and decoded report, or the server's error string.
-fn client_request(addr: SocketAddr, request: &Request) -> Result<(String, ServeReport), String> {
-    let stream = TcpStream::connect(addr).expect("connect to resident engine");
-    let _ = stream.set_nodelay(true);
-    proto::send(&mut &stream, &Message::Submit { request: request.encode() })
-        .expect("submit request");
-    let mut saw_status = false;
-    loop {
-        match proto::recv(&mut &stream).expect("server reply") {
-            Message::Status { .. } => saw_status = true,
-            Message::Heartbeat => {}
-            Message::ResultCsv { csv, report } => {
-                assert!(saw_status, "the server must stream progress before the result");
-                let csv = String::from_utf8(csv).expect("CSV is UTF-8");
-                let report = ServeReport::decode(&report).expect("report decodes");
-                return Ok((csv, report));
-            }
-            Message::ServeError { error } => return Err(error),
-            other => panic!("unexpected serving message: {other:?}"),
-        }
-    }
-}
-
-fn report_trains(report: &ServeReport) -> u64 {
-    let count = |v: &[(TaskKind, u64)]| {
-        v.iter().find(|(k, _)| *k == TaskKind::Train).map_or(0, |&(_, n)| n)
-    };
-    count(&report.executed) + count(&report.remote_executed)
-}
-
-#[test]
-fn serving_clients_get_byte_identical_csvs_and_warm_cell_answers() {
-    let cfg = tiny_cfg();
-    let ets = [ErrorType::Inconsistencies];
-
-    let serial = run_study(&ets, &cfg).expect("serial study");
-    let serial_csv = csv_of(&serial);
-
-    let engine = Engine::new(EngineConfig {
-        workers: 4,
-        listen: Some("127.0.0.1:0".into()),
-        ..Default::default()
-    });
-    let addr = engine.remote_addr().expect("hub bound");
-    let study = Request::Study(StudySpec { error_types: ets.to_vec(), cfg });
-
-    // Cold: the engine computes; the wire CSV is the canonical rendering.
-    let (cold_csv, cold_report) = client_request(addr, &study).expect("cold study request");
-    assert_eq!(cold_csv, serial_csv, "wire CSV vs serial rendering");
-    assert!(report_trains(&cold_report) > 0, "cold serve must train: {cold_report:?}");
-
-    // Warm: byte-identical bytes, zero training, zero executed tasks —
-    // the in-memory memo answered, not a re-run against the disk store.
-    let (warm_csv, warm_report) = client_request(addr, &study).expect("warm study request");
-    assert_eq!(warm_csv, cold_csv, "warm response must be byte-identical");
-    assert_eq!(report_trains(&warm_report), 0, "warm serve retrained: {warm_report:?}");
-    assert!(warm_report.executed.is_empty(), "warm serve executed tasks: {warm_report:?}");
-    assert!(warm_report.memory_hits > 0, "warm serve must hit the memo");
-
-    // A single-cell query shares content addresses with the study just
-    // served, so it too answers without training; only its 1×1 grid
-    // reduction runs.
-    let cell = Request::Cell {
-        spec: StudySpec { error_types: ets.to_vec(), cfg },
-        dataset: "University".into(),
-        detection: "OpenRefine".into(),
-        repair: "Merge".into(),
-        model: "Logistic Regression".into(),
-    };
-    let (cell_csv, cell_report) = client_request(addr, &cell).expect("cell request");
-    assert!(
-        cell_csv.contains("University,Inconsistencies,OpenRefine,Merge,Logistic Regression"),
-        "cell CSV must contain the requested cell's R1 rows:\n{cell_csv}"
-    );
-    assert_eq!(report_trains(&cell_report), 0, "warm cell query retrained: {cell_report:?}");
-
-    // Unknown requests fail with a protocol-level error, not a hang.
-    let bad = Request::Cell {
-        spec: StudySpec { error_types: ets.to_vec(), cfg },
-        dataset: "Atlantis".into(),
-        detection: "OpenRefine".into(),
-        repair: "Merge".into(),
-        model: "Logistic Regression".into(),
-    };
-    let err = client_request(addr, &bad).expect_err("unknown dataset must be refused");
-    assert!(err.contains("unknown dataset"), "{err}");
 }
