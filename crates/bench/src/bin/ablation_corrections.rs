@@ -8,18 +8,19 @@
 //! bluntest instrument (it kills borderline effects BH/BY keep, paper's
 //! critique of it).
 
-use cleanml_bench::{banner, config_from_args, header, run_study_cli};
+use cleanml_bench::{banner, cli, header, run_study_cli};
 use cleanml_core::analysis::render_flag_table;
 use cleanml_core::schema::ErrorType;
 use cleanml_core::Relation;
 use cleanml_stats::Correction;
 
 fn main() {
-    let cfg = config_from_args();
+    let args = cli::STUDY_RUN.parse_or_exit(std::env::args());
+    let cfg = args.spec.config();
     banner("Ablation: FDR correction choice", &cfg);
     let error_type = ErrorType::MissingValues;
     // the engine study applies BY; we re-correct from the stored p-values.
-    let base = run_study_cli(&[error_type], &cfg);
+    let base = run_study_cli(&[error_type], &args);
 
     header(&format!("R1 flags for {} under each correction", error_type.name()));
     let mut rows = Vec::new();

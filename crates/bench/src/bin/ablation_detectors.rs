@@ -6,10 +6,11 @@
 //! precision/recall against the injected ground truth, and the flag of the
 //! downstream KNN experiment (the paper's most outlier-sensitive model).
 
-use cleanml_bench::{banner, config_from_args, header, job_workers};
+use cleanml_bench::{banner, cli, header};
 use cleanml_cleaning::outliers::{self, OutlierDetection, OutlierRepair};
 use cleanml_core::runner::evaluate_grid_with;
 use cleanml_core::schema::ErrorType;
+use cleanml_core::study::dataset_seed;
 use cleanml_datagen::{generate, spec_by_name};
 use cleanml_engine::parallel_map;
 use cleanml_ml::ModelKind;
@@ -37,9 +38,10 @@ fn detection_quality(
 }
 
 fn main() {
-    let cfg = config_from_args();
+    let args = cli::SPEC_WORKERS.parse_or_exit(std::env::args());
+    let cfg = args.spec.config();
     banner("Ablation: outlier-detector aggressiveness", &cfg);
-    let data = generate(spec_by_name("EEG").expect("known"), cfg.base_seed);
+    let data = generate(spec_by_name("EEG").expect("known"), dataset_seed("EEG", cfg.base_seed));
 
     header("Detection quality on EEG (vs injected ground truth)");
     println!("{:<26} {:>9} {:>10} {:>8}", "detector", "cells", "precision", "recall");
@@ -64,7 +66,9 @@ fn main() {
         ),
     ];
     // each detector sweep is independent: fan them out on the job pool
-    let qualities = parallel_map(&sweeps, job_workers(), |(_, det)| detection_quality(&data, *det));
+    let qualities = parallel_map(&sweeps, args.engine.effective_workers(), |(_, det)| {
+        detection_quality(&data, *det)
+    });
     for ((name, _), (cells, p, r)) in sweeps.iter().zip(&qualities) {
         println!("{name:<26} {cells:>9} {p:>10.2} {r:>8.2}");
     }

@@ -10,15 +10,13 @@
 //! `cargo run --release --bin cleanml-bench-trajectory` after changes
 //! that should move the needle.
 //!
-//! Flags: `--out FILE` (default `BENCH_quick.json`), `--splits N`
-//! (default 2), `--workers N`, `--errors LIST`, `--trace-out FILE`
-//! (records an extra traced cold run so tracing cost never pollutes the
-//! overhead measurement).
+//! `--trace-out FILE` records an extra traced cold run, so tracing cost
+//! never pollutes the overhead measurement.
 
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use cleanml_bench::parse_error_types;
+use cleanml_bench::cli;
 use cleanml_core::schema::ErrorType;
 use cleanml_core::ExperimentConfig;
 use cleanml_engine::{telemetry, Engine, EngineConfig, HistogramSummary, RunReport, TaskKind};
@@ -33,24 +31,8 @@ const OVERHEAD_BUDGET_PCT: f64 = 2.0;
 /// drift never lands on the same leg twice in a row.
 const MAX_ATTEMPTS: usize = 5;
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).map(|p| {
-        args.get(p + 1).cloned().unwrap_or_else(|| {
-            eprintln!("error: {flag} expects a value");
-            std::process::exit(2);
-        })
-    })
-}
-
 fn engine_cfg(workers: usize, cache_dir: PathBuf) -> EngineConfig {
-    EngineConfig {
-        workers,
-        cache_dir: Some(cache_dir),
-        cache_max_bytes: None,
-        listen: None,
-        lease_timeout: cleanml_engine::DEFAULT_LEASE_TIMEOUT,
-        http_token: None,
-    }
+    EngineConfig { workers, cache_dir: Some(cache_dir), ..EngineConfig::default() }
 }
 
 /// One measured study leg: fresh engine, optionally pre-warmed cache dir.
@@ -90,21 +72,15 @@ fn ms(d: Duration) -> f64 {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let out_path =
-        PathBuf::from(flag_value(&args, "--out").unwrap_or_else(|| "BENCH_quick.json".into()));
-    let trace_out = flag_value(&args, "--trace-out").map(PathBuf::from);
-    let workers = flag_value(&args, "--workers").and_then(|s| s.parse().ok()).unwrap_or(0);
-    let splits: usize = flag_value(&args, "--splits").and_then(|s| s.parse().ok()).unwrap_or(2);
-    let error_types: Vec<ErrorType> = match flag_value(&args, "--errors") {
-        Some(list) => parse_error_types(&list).unwrap_or_else(|| {
-            eprintln!("error: --errors names unknown error types: `{list}`");
-            std::process::exit(2);
-        }),
-        None => ErrorType::all().to_vec(),
-    };
+    let args = cli::TRAJECTORY.parse_or_exit(std::env::args());
+    let out_path = args.out.unwrap_or_else(|| "BENCH_quick.json".into());
+    let workers = args.engine.workers;
+    let mut error_types = args.spec.error_types;
+    if error_types.is_empty() {
+        error_types = ErrorType::all().to_vec();
+    }
     let mut cfg = ExperimentConfig::quick();
-    cfg.n_splits = splits.max(2);
+    cfg.n_splits = args.spec.splits.unwrap_or(2);
 
     let t = telemetry::global();
     let scratch = std::env::temp_dir().join(format!("cleanml-trajectory-{}", std::process::id()));
@@ -256,7 +232,7 @@ fn main() {
 
     // The traced leg runs after (and apart from) the measured ones, so
     // span recording never counts against the overhead budget.
-    if let Some(path) = &trace_out {
+    if let Some(path) = &args.trace_out {
         t.start_tracing();
         let dir = fresh_dir("trace", 0);
         let (wall, _, _) = run_leg(workers, &dir, &error_types, &cfg);

@@ -30,20 +30,11 @@
 
 use std::time::Duration;
 
-use cleanml_bench::engine_from_args;
+use cleanml_bench::cli;
 use cleanml_engine::Engine;
 
 fn main() {
-    let cfg = engine_from_args();
-    if cfg.listen.is_none() {
-        eprintln!(
-            "usage: cleanml-serve --listen HOST:PORT [--workers N] [--cache-dir DIR]\n\
-             \u{20}      [--cache-max-bytes N[k|m|g]] [--lease-timeout SECS] [--http-token TOK]\n\
-             a resident engine serving the HTTP results gateway (/metrics, /studies)\n\
-             and cleanml-worker leases"
-        );
-        std::process::exit(2);
-    }
+    let cfg = cli::SERVE.parse_or_exit(std::env::args()).engine;
     let http_auth = cfg.http_token.is_some();
     let engine = Engine::new(cfg);
     let addr = engine.remote_addr().expect("--listen was required above");

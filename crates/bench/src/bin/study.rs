@@ -5,9 +5,7 @@
 //!
 //! ```sh
 //! cargo run --release -p cleanml-bench --bin study -- \
-//!     [--quick|--paper] [--workers N] [--cache-dir DIR] \
-//!     [--cache-max-bytes N[k|m|g]] [--cache-stats] \
-//!     [--listen ADDR] [--lease-timeout SECS] [out_dir]
+//!     [--quick|--paper] [--workers N] [--cache-dir DIR] [OUT_DIR]
 //! ```
 //!
 //! With `--cache-dir`, a repeated or resumed invocation — including one
@@ -21,9 +19,9 @@
 //! and ship artifacts back into the shared store; a worker killed mid-run
 //! costs only its in-flight task (re-leased after `--lease-timeout`).
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use cleanml_bench::{banner, config_from_args, header, run_study_cli};
+use cleanml_bench::{banner, cli, header, run_study_cli};
 use cleanml_core::schema::ErrorType;
 use cleanml_core::{CleanMlDb, Relation};
 
@@ -37,46 +35,14 @@ fn dump(db: &CleanMlDb, dir: &Path) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Positional `out_dir`: the first non-flag argument that is not the value
-/// of a preceding flag.
-fn out_dir_from_args(args: &[String]) -> PathBuf {
-    const VALUE_FLAGS: [&str; 9] = [
-        "--splits",
-        "--seed",
-        "--workers",
-        "--cache-dir",
-        "--cache-max-bytes",
-        "--listen",
-        "--lease-timeout",
-        "--trace-out",
-        "--http-token",
-    ];
-    let mut args = args.iter();
-    while let Some(a) = args.next() {
-        if VALUE_FLAGS.contains(&a.as_str()) {
-            args.next();
-        } else if !a.starts_with("--") {
-            return PathBuf::from(a);
-        }
-    }
-    PathBuf::from("cleanml_db")
-}
-
 fn main() {
-    let cfg = config_from_args();
-    banner("Full CleanML study", &cfg);
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let dir = out_dir_from_args(&args);
+    let args = cli::STUDY.parse_or_exit(std::env::args());
+    banner("Full CleanML study", &args.spec.config());
+    let dir = args.positional.clone().unwrap_or_else(|| "cleanml_db".into());
     std::fs::create_dir_all(&dir).expect("create output directory");
 
-    let all = [
-        ErrorType::MissingValues,
-        ErrorType::Outliers,
-        ErrorType::Duplicates,
-        ErrorType::Inconsistencies,
-        ErrorType::Mislabels,
-    ];
-    let db = run_study_cli(&all, &cfg);
+    let all = ErrorType::all();
+    let db = run_study_cli(&all, &args);
     dump(&db, &dir).expect("write CSVs");
 
     header("CleanML database written");
@@ -104,22 +70,22 @@ fn main() {
 mod tests {
     use super::*;
 
-    fn out_dir(args: &[&str]) -> PathBuf {
-        out_dir_from_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    fn out_dir(args: &[&str]) -> Option<std::path::PathBuf> {
+        cli::STUDY
+            .parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+            .unwrap()
+            .positional
     }
 
     #[test]
     fn flag_values_are_not_the_out_dir() {
-        assert_eq!(out_dir(&["--trace-out", "t.json", "out"]), PathBuf::from("out"));
-        assert_eq!(out_dir(&["--http-token", "s3cret", "--quick", "out"]), PathBuf::from("out"));
+        assert_eq!(out_dir(&["--trace-out", "t.json", "out"]), Some("out".into()));
+        assert_eq!(out_dir(&["--http-token", "s3cret", "--quick", "out"]), Some("out".into()));
         assert_eq!(
             out_dir(&["--quick", "--splits", "2", "--cache-dir", "c", "o"]),
-            PathBuf::from("o")
+            Some("o".into())
         );
-        assert_eq!(
-            out_dir(&["--cache-stats", "--trace-out", "t.json"]),
-            PathBuf::from("cleanml_db")
-        );
-        assert_eq!(out_dir(&[]), PathBuf::from("cleanml_db"));
+        assert_eq!(out_dir(&["--cache-stats", "--trace-out", "t.json"]), None);
+        assert_eq!(out_dir(&[]), None);
     }
 }

@@ -3,15 +3,15 @@
 //! Q1 over R1/R2/R3, Q4.2 (imputation method breakdown) over R1/R2, and Q5
 //! (per-dataset breakdown) over R1.
 
-use cleanml_bench::{banner, config_from_args, header, rows_of, run_study_cli};
+use cleanml_bench::{banner, cli, header, rows_of, run_study_cli};
 use cleanml_core::analysis::render_flag_table;
 use cleanml_core::schema::ErrorType;
 use cleanml_core::Relation;
 
 fn main() {
-    let cfg = config_from_args();
-    banner("Table 11 (Missing Values)", &cfg);
-    let db = run_study_cli(&[ErrorType::MissingValues], &cfg);
+    let args = cli::STUDY_RUN.parse_or_exit(std::env::args());
+    banner("Table 11 (Missing Values)", &args.spec.config());
+    let db = run_study_cli(&[ErrorType::MissingValues], &args);
 
     header("Q1 (E = Missing Values)");
     let rows = vec![

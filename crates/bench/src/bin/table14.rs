@@ -2,15 +2,15 @@
 //!
 //! Q1 over R1 and R2&R3, Q5 (per-dataset) over R1.
 
-use cleanml_bench::{banner, config_from_args, header, rows_of, run_study_cli};
+use cleanml_bench::{banner, cli, header, rows_of, run_study_cli};
 use cleanml_core::analysis::render_flag_table;
 use cleanml_core::schema::ErrorType;
 use cleanml_core::Relation;
 
 fn main() {
-    let cfg = config_from_args();
-    banner("Table 14 (Inconsistencies)", &cfg);
-    let db = run_study_cli(&[ErrorType::Inconsistencies], &cfg);
+    let args = cli::STUDY_RUN.parse_or_exit(std::env::args());
+    banner("Table 14 (Inconsistencies)", &args.spec.config());
+    let db = run_study_cli(&[ErrorType::Inconsistencies], &args);
 
     header("Q1 (E = Inconsistencies)");
     let rows = vec![

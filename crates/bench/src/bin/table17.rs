@@ -7,28 +7,18 @@
 //! types. `--cap N` bounds each error type's method catalogue inside the
 //! Cartesian product (default 3; `--paper` uses the full catalogue).
 
-use cleanml_bench::{banner, config_from_args, dist_of, grouped_flags, header};
+use cleanml_bench::{banner, cli, dist_of, grouped_flags, header};
 use cleanml_core::analysis::render_flag_table;
 use cleanml_core::mixed::compare_mixed_vs_single;
 use cleanml_core::schema::ErrorType;
 use cleanml_core::study::dataset_seed;
 use cleanml_datagen::{generate, spec_by_name};
-
-fn cap_from_args() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--paper") {
-        return usize::MAX;
-    }
-    args.iter()
-        .position(|a| a == "--cap")
-        .and_then(|p| args.get(p + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(3)
-}
+use cleanml_engine::Profile;
 
 fn main() {
-    let cfg = config_from_args();
-    let cap = cap_from_args();
+    let args = cli::TABLE17.parse_or_exit(std::env::args());
+    let cfg = args.spec.config();
+    let cap = if args.spec.profile == Profile::Paper { usize::MAX } else { args.cap.unwrap_or(3) };
     banner("Table 17 (Mixed Error Types vs Single Error Type)", &cfg);
     println!("method catalogue cap per error type: {cap}");
 
@@ -46,7 +36,7 @@ fn main() {
     header("Cleaning Mixed Error Types vs. Single Error Type");
     // One job per (dataset, single error type): all comparisons run
     // concurrently on the engine's job pool.
-    let grouped = grouped_flags(&comparisons, |name, single| {
+    let grouped = grouped_flags(&comparisons, args.engine.effective_workers(), |name, single| {
         let spec = spec_by_name(name).expect("known dataset");
         let data = generate(spec, dataset_seed(name, cfg.base_seed));
         compare_mixed_vs_single(&data, single, cap, &cfg).expect("comparison").flag

@@ -20,24 +20,14 @@
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+use cleanml_bench::cli;
 use cleanml_engine::remote::{run_worker, FaultPlan};
 
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).and_then(|p| args.get(p + 1)).cloned()
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let Some(addr) = arg_value(&args, "--connect") else {
-        eprintln!(
-            "usage: cleanml-worker --connect HOST:PORT [--name NAME] [--retry SECS]\n\
-             connects to a study coordinator started with --listen"
-        );
-        std::process::exit(2);
-    };
-    let name =
-        arg_value(&args, "--name").unwrap_or_else(|| format!("worker-{}", std::process::id()));
-    let retry_secs = arg_value(&args, "--retry").and_then(|s| s.parse::<u64>().ok()).unwrap_or(30);
+    let args = cli::WORKER.parse_or_exit(std::env::args());
+    let addr = args.connect.expect("--connect is required");
+    let name = args.name.unwrap_or_else(|| format!("worker-{}", std::process::id()));
+    let retry_secs = args.retry.unwrap_or(30);
 
     // The coordinator may still be building its graph (or not be up yet in
     // a scripted launch): retry the connect for a bounded window.

@@ -11,27 +11,12 @@
 //! the *shape* — which flags dominate, which methods/models/datasets
 //! deviate — is the reproduction target, recorded in `EXPERIMENTS.md`.
 //!
-//! All binaries accept a profile argument:
-//!
-//! * `--quick` — 6 splits, no tuning (seconds; CI smoke).
-//! * `--standard` — the default: paper's 20 splits, default hyper-parameters.
-//! * `--paper` — 20 splits with random search + 5-fold CV (slow).
-//!
-//! plus the engine flags:
-//!
-//! * `--workers N` — worker threads (default: all cores).
-//! * `--cache-dir DIR` — persistent artifact cache; a killed or repeated
-//!   run against a warm cache skips all finished cleaning and training.
-//! * `--cache-max-bytes N[k|m|g]` — byte budget for the cache directory;
-//!   least-recently-used artifacts are evicted to stay under it.
-//! * `--cache-stats` — print an end-of-run cache summary line (memory/disk
-//!   hits, misses, writes, evictions, store size, remote accounting).
-//! * `--listen ADDR` — accept remote `cleanml-worker` connections; remote
-//!   workers lease ready tasks and ship artifacts back over TCP.
-//! * `--lease-timeout SECS` — how long a leased worker may go silent
-//!   before its task is re-queued (default 5).
-//! * `--trace-out FILE` — record per-task spans and write them as Chrome
-//!   trace-event JSON on exit (load in `chrome://tracing` / Perfetto).
+//! Every binary's flags are rows of the one declarative table in [`cli`]:
+//! the study spec (`--quick`/`--standard`/`--paper`, `--splits`, `--seed`),
+//! the engine ([`cli::ENGINE`]) and per-run reporting ([`cli::RUN`]). Each
+//! binary declares only the rows it reads; anything else exits 2.
+
+pub mod cli;
 
 use std::sync::mpsc;
 
@@ -39,96 +24,9 @@ use cleanml_core::database::FlagDist;
 use cleanml_core::schema::ErrorType;
 use cleanml_core::{CleanMlDb, ExperimentConfig};
 use cleanml_engine::{
-    parallel_map, CacheStats, Engine, EngineConfig, EngineEvent, RunReport, SlowTask, StatsSnapshot,
+    parallel_map, CacheStats, Engine, EngineEvent, RunReport, SlowTask, StatsSnapshot,
 };
 use cleanml_stats::Flag;
-
-/// Parses the common CLI profile flags.
-pub fn config_from_args() -> ExperimentConfig {
-    let args: Vec<String> = std::env::args().collect();
-    let mut cfg = if args.iter().any(|a| a == "--paper") {
-        ExperimentConfig::paper()
-    } else if args.iter().any(|a| a == "--quick") {
-        ExperimentConfig::quick()
-    } else {
-        ExperimentConfig::standard()
-    };
-    if let Some(pos) = args.iter().position(|a| a == "--splits") {
-        if let Some(n) = args.get(pos + 1).and_then(|s| s.parse::<usize>().ok()) {
-            cfg.n_splits = n.max(2);
-        }
-    }
-    if let Some(pos) = args.iter().position(|a| a == "--seed") {
-        if let Some(s) = args.get(pos + 1).and_then(|s| s.parse::<u64>().ok()) {
-            cfg.base_seed = s;
-        }
-    }
-    cfg
-}
-
-/// Parses the engine CLI flags (`--workers`, `--cache-dir`,
-/// `--cache-max-bytes`, `--listen`, `--lease-timeout`, `--http-token`).
-pub fn engine_from_args() -> EngineConfig {
-    let args: Vec<String> = std::env::args().collect();
-    let workers = args
-        .iter()
-        .position(|a| a == "--workers")
-        .and_then(|p| args.get(p + 1))
-        .and_then(|s| s.parse::<usize>().ok())
-        .unwrap_or(0);
-    let cache_dir = args
-        .iter()
-        .position(|a| a == "--cache-dir")
-        .and_then(|p| args.get(p + 1))
-        .map(std::path::PathBuf::from);
-    let cache_max_bytes = args.iter().position(|a| a == "--cache-max-bytes").map(|p| {
-        let value = args.get(p + 1).map(String::as_str).unwrap_or("");
-        // An explicitly requested byte budget must never be silently
-        // dropped — an unbounded run the user believes is capped is worse
-        // than no flag at all.
-        parse_byte_size(value).unwrap_or_else(|| {
-            eprintln!("error: --cache-max-bytes expects N[k|m|g], got `{value}`");
-            std::process::exit(2);
-        })
-    });
-    let listen = args.iter().position(|a| a == "--listen").map(|p| {
-        // An explicitly requested coordinator must never silently run
-        // local-only (workers elsewhere would retry against nothing).
-        args.get(p + 1).cloned().unwrap_or_else(|| {
-            eprintln!("error: --listen expects HOST:PORT");
-            std::process::exit(2);
-        })
-    });
-    let lease_timeout = args
-        .iter()
-        .position(|a| a == "--lease-timeout")
-        .map(|p| {
-            let value = args.get(p + 1).map(String::as_str).unwrap_or("");
-            // Same contract as the byte budget: an explicit deadline is
-            // never silently replaced by the default.
-            match value.parse::<u64>() {
-                Ok(secs) if secs > 0 => std::time::Duration::from_secs(secs),
-                _ => {
-                    eprintln!("error: --lease-timeout expects whole seconds > 0, got `{value}`");
-                    std::process::exit(2);
-                }
-            }
-        })
-        .unwrap_or(cleanml_engine::DEFAULT_LEASE_TIMEOUT);
-    let http_token = args.iter().position(|a| a == "--http-token").map(|p| {
-        // An explicitly requested token must never be silently dropped —
-        // an open gateway the operator believes is authenticated is a
-        // security hole, not a default.
-        match args.get(p + 1) {
-            Some(tok) if !tok.is_empty() && !tok.starts_with("--") => tok.clone(),
-            _ => {
-                eprintln!("error: --http-token expects a non-empty token");
-                std::process::exit(2);
-            }
-        }
-    });
-    EngineConfig { workers, cache_dir, cache_max_bytes, listen, lease_timeout, http_token }
-}
 
 /// Parses a byte size: a plain integer, optionally suffixed `k`/`m`/`g`
 /// (case-insensitive, powers of 1024), e.g. `64m`.
@@ -141,27 +39,6 @@ pub fn parse_byte_size(s: &str) -> Option<u64> {
         _ => (s, 0),
     };
     digits.parse::<u64>().ok()?.checked_mul(1u64 << shift)
-}
-
-/// Worker count the binaries should use for coarse-grained
-/// [`cleanml_engine::parallel_map`] jobs.
-pub fn job_workers() -> usize {
-    engine_from_args().effective_workers()
-}
-
-/// Parses one error-type name, tolerant of case, spaces and underscores
-/// (`missing_values`, `Missing Values` and `missingvalues` all match).
-pub fn parse_error_type(token: &str) -> Option<ErrorType> {
-    let norm = |s: &str| -> String {
-        s.chars().filter(|c| c.is_ascii_alphanumeric()).collect::<String>().to_ascii_lowercase()
-    };
-    let wanted = norm(token);
-    ErrorType::all().into_iter().find(|et| norm(et.name()) == wanted)
-}
-
-/// Parses a comma-separated error-type list for `--errors`.
-pub fn parse_error_types(list: &str) -> Option<Vec<ErrorType>> {
-    list.split(',').map(|tok| parse_error_type(tok.trim())).collect()
 }
 
 /// Rebuilds the [`cache_stats_line`] inputs from a telemetry
@@ -200,26 +77,15 @@ pub fn stats_from_registry_delta(d: &StatsSnapshot) -> (CacheStats, RunReport) {
 }
 
 /// Runs a study through the engine with live progress on stderr — the
-/// shared entry point of every `tableNN` binary.
-pub fn run_study_cli(error_types: &[ErrorType], cfg: &ExperimentConfig) -> CleanMlDb {
-    let engine_cfg = engine_from_args();
+/// shared entry point of every `tableNN` binary, configured by its
+/// [`cli::STUDY_RUN`] flags. A failed `--trace-out` write exits 1.
+pub fn run_study_cli(error_types: &[ErrorType], args: &cli::Args) -> CleanMlDb {
     let telemetry = cleanml_engine::telemetry::global();
-    let trace_out = {
-        let args: Vec<String> = std::env::args().collect();
-        args.iter().position(|a| a == "--trace-out").map(|p| {
-            // An explicitly requested trace must never be silently
-            // skipped — same contract as the other engine flags.
-            args.get(p + 1).map(std::path::PathBuf::from).unwrap_or_else(|| {
-                eprintln!("error: --trace-out expects FILE");
-                std::process::exit(2);
-            })
-        })
-    };
-    if trace_out.is_some() {
+    if args.trace_out.is_some() {
         telemetry.start_tracing();
     }
     let (tx, rx) = mpsc::channel();
-    let mut engine = Engine::new(engine_cfg).with_events(tx);
+    let mut engine = Engine::new(args.engine.clone()).with_events(tx);
     eprintln!("[engine] {} workers", engine.workers());
     if let Some(addr) = engine.remote_addr() {
         eprintln!("[engine] listening on {addr} (connect with: cleanml-worker --connect {addr})");
@@ -267,7 +133,8 @@ pub fn run_study_cli(error_types: &[ErrorType], cfg: &ExperimentConfig) -> Clean
     let started = std::time::Instant::now();
     let before = telemetry.stats_snapshot();
     telemetry.reset_slow_tasks(); // run boundary: the table is per-run
-    let (db, report) = engine.run_study_with_report(error_types, cfg).expect("engine study run");
+    let (db, report) =
+        engine.run_study_with_report(error_types, &args.spec.config()).expect("engine study run");
     let delta = telemetry.stats_snapshot().since(&before);
     let stats = engine.cache_stats();
     let store_totals = engine.disk_store().map(|s| (s.total_bytes(), s.len()));
@@ -301,7 +168,7 @@ pub fn run_study_cli(error_types: &[ErrorType], cfg: &ExperimentConfig) -> Clean
         store_line.unwrap_or_default(),
         remote_line,
     );
-    if std::env::args().any(|a| a == "--cache-stats") {
+    if args.cache_stats {
         // The line is derived from the metrics registry (snapshot delta
         // over the run), not the RunReport — byte-identical figures for a
         // single run, and a standing cross-check that the telemetry plane
@@ -327,10 +194,13 @@ pub fn run_study_cli(error_types: &[ErrorType], cfg: &ExperimentConfig) -> Clean
             );
         }
     }
-    if let Some(path) = trace_out {
-        match telemetry.write_trace(&path) {
+    if let Some(path) = &args.trace_out {
+        match telemetry.write_trace(path) {
             Ok(n) => eprintln!("[engine] wrote {n} trace events to {}", path.display()),
-            Err(e) => eprintln!("[engine] trace write failed ({}): {e}", path.display()),
+            Err(e) => {
+                eprintln!("[engine] trace write failed ({}): {e}", path.display());
+                std::process::exit(1);
+            }
         }
     }
     db
@@ -401,9 +271,13 @@ pub fn slowest_tasks_field(slow: &[SlowTask]) -> String {
 }
 
 /// Fans the per-dataset jobs of grouped comparisons (Tables 17/19) out on
-/// the engine job pool and regroups the flags by comparison, preserving
-/// order.
-pub fn grouped_flags<F>(comparisons: &[(&[&str], ErrorType)], f: F) -> Vec<Vec<Flag>>
+/// the engine job pool (`workers` threads) and regroups the flags by
+/// comparison, preserving order.
+pub fn grouped_flags<F>(
+    comparisons: &[(&[&str], ErrorType)],
+    workers: usize,
+    f: F,
+) -> Vec<Vec<Flag>>
 where
     F: Fn(&str, ErrorType) -> Flag + Sync,
 {
@@ -412,7 +286,7 @@ where
         .enumerate()
         .flat_map(|(ci, (datasets, et))| datasets.iter().map(move |&d| (ci, d, *et)))
         .collect();
-    let flags = parallel_map(&jobs, job_workers(), |&(_, name, et)| f(name, et));
+    let flags = parallel_map(&jobs, workers, |&(_, name, et)| f(name, et));
     let mut grouped = vec![Vec::new(); comparisons.len()];
     for (&(ci, _, _), flag) in jobs.iter().zip(flags) {
         grouped[ci].push(flag);
@@ -478,7 +352,7 @@ mod tests {
     fn grouped_flags_preserves_comparison_order() {
         let comparisons: [(&[&str], ErrorType); 2] =
             [(&["A", "B"], ErrorType::Outliers), (&["C"], ErrorType::Duplicates)];
-        let grouped = grouped_flags(&comparisons, |name, et| {
+        let grouped = grouped_flags(&comparisons, 2, |name, et| {
             if name == "B" || et == ErrorType::Duplicates {
                 Flag::Positive
             } else {
@@ -544,19 +418,6 @@ mod tests {
             "executed_local=0 executed_remote=0 executed_train=0 remote_workers=0 releases=0 \
              cv_fits=0 fold_reuse=0 slowest=-"
         ));
-    }
-
-    #[test]
-    fn error_type_names_parse_tolerantly() {
-        assert_eq!(parse_error_type("missing_values"), Some(ErrorType::MissingValues));
-        assert_eq!(parse_error_type("Missing Values"), Some(ErrorType::MissingValues));
-        assert_eq!(parse_error_type("MISLABELS"), Some(ErrorType::Mislabels));
-        assert_eq!(parse_error_type("nonsense"), None);
-        assert_eq!(
-            parse_error_types("outliers, duplicates"),
-            Some(vec![ErrorType::Outliers, ErrorType::Duplicates])
-        );
-        assert_eq!(parse_error_types("outliers,bogus"), None);
     }
 
     #[test]

@@ -70,8 +70,9 @@ pub const MAX_QUERY_VALUE_BYTES: usize = 512;
 pub const DEFAULT_PAGE_LIMIT: usize = 1000;
 pub const MAX_PAGE_LIMIT: usize = 10_000;
 
-/// Study-spec bounds mirrored from the CLI: splits below 2 cannot form
-/// a paired test, and four digits of splits is a typo, not a study.
+/// Study-spec bound shared with the CLI (both parse `splits` through
+/// [`SubmitSpec::set_field`]): splits below 2 cannot form a paired test,
+/// and four digits of splits is a typo, not a study.
 const MAX_SPLITS: usize = 1000;
 
 // ---- gateway backend ------------------------------------------------
@@ -112,6 +113,14 @@ pub struct SubmitSpec {
     pub seed: Option<u64>,
 }
 
+/// No error types yet, the standard profile, the profile's own splits
+/// and seed.
+impl Default for SubmitSpec {
+    fn default() -> Self {
+        SubmitSpec { error_types: Vec::new(), profile: Profile::Standard, splits: None, seed: None }
+    }
+}
+
 impl SubmitSpec {
     /// The [`ExperimentConfig`] this spec resolves to.
     pub fn config(&self) -> ExperimentConfig {
@@ -127,6 +136,47 @@ impl SubmitSpec {
             cfg.base_seed = s;
         }
         cfg
+    }
+
+    /// Sets one study-spec field from its text form — the rules `POST
+    /// /studies` and the CLI flags share: `errors` (comma-separated error
+    /// types, names normalized, accumulated without repeats), `profile`
+    /// (`quick`/`standard`/`paper`), `splits` (2..=`MAX_SPLITS`) and a
+    /// numeric `seed`. Any other key is an error.
+    pub fn set_field(&mut self, key: &str, value: &str) -> Result<(), String> {
+        let not_a_number = |v: &str| format!("not a number: {v:?}");
+        match key {
+            "errors" => {
+                for part in value.split(',') {
+                    let want = normalize(part);
+                    let et = ErrorType::all()
+                        .into_iter()
+                        .find(|et| normalize(et.name()) == want)
+                        .ok_or_else(|| format!("unknown error type {part:?}"))?;
+                    if !self.error_types.contains(&et) {
+                        self.error_types.push(et);
+                    }
+                }
+            }
+            "profile" => {
+                self.profile = match normalize(value).as_str() {
+                    "quick" => Profile::Quick,
+                    "standard" => Profile::Standard,
+                    "paper" => Profile::Paper,
+                    _ => return Err(format!("unknown profile {value:?}")),
+                };
+            }
+            "splits" => {
+                let n: usize = value.parse().map_err(|_| not_a_number(value))?;
+                if !(2..=MAX_SPLITS).contains(&n) {
+                    return Err(format!("{n} outside 2..={MAX_SPLITS}"));
+                }
+                self.splits = Some(n);
+            }
+            "seed" => self.seed = Some(value.parse().map_err(|_| not_a_number(value))?),
+            _ => return Err("unknown field".to_string()),
+        }
+        Ok(())
     }
 }
 
@@ -867,54 +917,18 @@ fn numbers_equal(a: &str, b: &str) -> bool {
 /// an optional `cell` (`DATASET/DETECTION/REPAIR/MODEL`, catalogue names)
 /// that narrows the submission to one cell of a single error type.
 pub fn parse_submit(pairs: &[(String, String)]) -> Result<(SubmitSpec, Option<CellQuery>), String> {
-    let mut spec = SubmitSpec {
-        error_types: Vec::new(),
-        profile: Profile::Standard,
-        splits: None,
-        seed: None,
-    };
+    let mut spec = SubmitSpec::default();
     let mut cell = None;
     for (key, value) in pairs {
-        match key.as_str() {
-            "errors" => {
-                for part in value.split(',') {
-                    let et = parse_error_type(part)?;
-                    if !spec.error_types.contains(&et) {
-                        spec.error_types.push(et);
-                    }
-                }
-            }
-            "profile" => {
-                spec.profile = match normalize(value).as_str() {
-                    "quick" => Profile::Quick,
-                    "standard" => Profile::Standard,
-                    "paper" => Profile::Paper,
-                    _ => return Err(format!("profile: unknown profile {value:?}")),
-                };
-            }
-            "splits" => {
-                let n: usize =
-                    value.parse().map_err(|_| format!("splits: not a number: {value:?}"))?;
-                if !(2..=MAX_SPLITS).contains(&n) {
-                    return Err(format!("splits: {n} outside 2..={MAX_SPLITS}"));
-                }
-                spec.splits = Some(n);
-            }
-            "seed" => {
-                spec.seed =
-                    Some(value.parse().map_err(|_| format!("seed: not a number: {value:?}"))?);
-            }
-            "cell" => {
-                let parts: Vec<&str> = value.split('/').collect();
-                let [dataset, detection, repair, model] = parts[..] else {
-                    return Err(format!(
-                        "cell: expected DATASET/DETECTION/REPAIR/MODEL: {value:?}"
-                    ));
-                };
-                cell = Some([dataset, detection, repair, model].map(str::to_string));
-            }
-            other => return Err(format!("unknown field {other:?}")),
+        if key != "cell" {
+            spec.set_field(key, value).map_err(|e| format!("{key}: {e}"))?;
+            continue;
         }
+        let parts: Vec<&str> = value.split('/').collect();
+        let [dataset, detection, repair, model] = parts[..] else {
+            return Err(format!("cell: expected DATASET/DETECTION/REPAIR/MODEL: {value:?}"));
+        };
+        cell = Some([dataset, detection, repair, model].map(str::to_string));
     }
     if spec.error_types.is_empty() {
         return Err("errors: at least one error type required".to_string());
@@ -927,14 +941,6 @@ pub fn parse_submit(pairs: &[(String, String)]) -> Result<(SubmitSpec, Option<Ce
         (Some(_), _) => return Err("cell: a cell names exactly one error type".to_string()),
     };
     Ok((spec, cell))
-}
-
-fn parse_error_type(s: &str) -> Result<ErrorType, String> {
-    let want = normalize(s);
-    ErrorType::all()
-        .into_iter()
-        .find(|et| normalize(et.name()) == want)
-        .ok_or_else(|| format!("errors: unknown error type {s:?}"))
 }
 
 // ---- JSON rendering -------------------------------------------------
@@ -1327,7 +1333,17 @@ mod tests {
 
         assert!(parse_submit(&parse_query("profile=quick").unwrap()).is_err()); // no errors
         assert!(parse_submit(&parse_query("errors=bogus").unwrap()).is_err());
+        // error-type names normalize case, spaces and underscores; repeats fold
+        let pairs = parse_query("errors=Missing+Values,MISLABELS,missing_values").unwrap();
+        assert_eq!(
+            parse_submit(&pairs).unwrap().0.error_types,
+            vec![ErrorType::MissingValues, ErrorType::Mislabels]
+        );
+        assert!(parse_submit(&parse_query("errors=outliers,bogus").unwrap()).is_err());
         assert!(parse_submit(&parse_query("errors=outliers&splits=1").unwrap()).is_err());
+        assert!(parse_submit(&parse_query("errors=outliers&splits=1001").unwrap()).is_err());
+        assert!(parse_submit(&parse_query("errors=outliers&splits=abc").unwrap()).is_err());
+        assert!(parse_submit(&parse_query("errors=outliers&seed=-1").unwrap()).is_err());
         assert!(parse_submit(&parse_query("errors=outliers&profile=bogus").unwrap()).is_err());
         assert!(parse_submit(&parse_query("errors=outliers&extra=1").unwrap()).is_err());
     }
