@@ -21,7 +21,7 @@ fn benches(c: &mut Criterion) {
         model: ModelKind::LogisticRegression,
         scenario: Scenario::BD,
     };
-    let cfg = ExperimentConfig { n_splits: 3, parallel: false, ..ExperimentConfig::quick() };
+    let cfg = ExperimentConfig { n_splits: 3, ..ExperimentConfig::quick() };
 
     let mut group = c.benchmark_group("pipeline");
     group.sample_size(10);

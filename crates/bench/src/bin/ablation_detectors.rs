@@ -6,14 +6,14 @@
 //! precision/recall against the injected ground truth, and the flag of the
 //! downstream KNN experiment (the paper's most outlier-sensitive model).
 
-use cleanml_bench::{banner, cli, header};
+use cleanml_bench::{banner, cli, header, install_workers};
 use cleanml_cleaning::outliers::{self, OutlierDetection, OutlierRepair};
 use cleanml_core::runner::evaluate_grid_with;
 use cleanml_core::schema::ErrorType;
 use cleanml_core::study::dataset_seed;
 use cleanml_datagen::{generate, spec_by_name};
-use cleanml_engine::parallel_map;
 use cleanml_ml::ModelKind;
+use cleanml_parallel::run_indexed;
 
 fn detection_quality(
     data: &cleanml_datagen::GeneratedDataset,
@@ -39,6 +39,7 @@ fn detection_quality(
 
 fn main() {
     let args = cli::SPEC_WORKERS.parse_or_exit(std::env::args());
+    install_workers(args.engine.effective_workers());
     let cfg = args.spec.config();
     banner("Ablation: outlier-detector aggressiveness", &cfg);
     let data = generate(spec_by_name("EEG").expect("known"), dataset_seed("EEG", cfg.base_seed));
@@ -65,10 +66,8 @@ fn main() {
             OutlierDetection::IsolationForest { contamination: 0.10, n_trees: 50 },
         ),
     ];
-    // each detector sweep is independent: fan them out on the job pool
-    let qualities = parallel_map(&sweeps, args.engine.effective_workers(), |(_, det)| {
-        detection_quality(&data, *det)
-    });
+    // each detector sweep is independent: fan them out
+    let qualities = run_indexed(sweeps.len(), |i| detection_quality(&data, sweeps[i].1));
     for ((name, _), (cells, p, r)) in sweeps.iter().zip(&qualities) {
         println!("{name:<26} {cells:>9} {p:>10.2} {r:>8.2}");
     }

@@ -4,16 +4,17 @@
 //! under-power the t-tests: the same experiment's p-values and flags are
 //! recomputed at 5 / 10 / 20 / 40 splits.
 
-use cleanml_bench::{banner, cli, header};
+use cleanml_bench::{banner, cli, header, install_workers};
 use cleanml_core::schema::{Detection, ErrorType, Repair, Scenario, Spec1};
 use cleanml_core::study::dataset_seed;
 use cleanml_core::{run_r1_experiment, ExperimentConfig};
 use cleanml_datagen::{generate, spec_by_name};
-use cleanml_engine::parallel_map;
 use cleanml_ml::ModelKind;
+use cleanml_parallel::run_indexed;
 
 fn main() {
     let args = cli::SPEC_WORKERS.parse_or_exit(std::env::args());
+    install_workers(args.engine.effective_workers());
     let base_cfg = args.spec.config();
     banner("Ablation: split count vs statistical power", &base_cfg);
     let data =
@@ -30,10 +31,10 @@ fn main() {
     header("EEG / IQR+Mean / LR / BD at increasing split counts");
     println!("{:>7} {:>10} {:>10} {:>12} {:>6}", "splits", "mean B", "mean D", "p(two)", "flag");
     // the four split counts are independent experiments: fan them out
-    // (per-split threads off — the outer fan-out is the parallelism here)
+    // (their splits then run serially inside each one)
     let counts = [5usize, 10, 20, 40];
-    let outcomes = parallel_map(&counts, args.engine.effective_workers(), |&n_splits| {
-        let cfg = ExperimentConfig { n_splits, parallel: false, ..base_cfg };
+    let outcomes = run_indexed(counts.len(), |i| {
+        let cfg = ExperimentConfig { n_splits: counts[i], ..base_cfg };
         run_r1_experiment(&data, &spec, &cfg).expect("experiment")
     });
     for (n_splits, out) in counts.iter().zip(&outcomes) {

@@ -7,7 +7,7 @@
 //! types. `--cap N` bounds each error type's method catalogue inside the
 //! Cartesian product (default 3; `--paper` uses the full catalogue).
 
-use cleanml_bench::{banner, cli, dist_of, grouped_flags, header};
+use cleanml_bench::{banner, cli, dist_of, grouped_flags, header, install_workers};
 use cleanml_core::analysis::render_flag_table;
 use cleanml_core::mixed::compare_mixed_vs_single;
 use cleanml_core::schema::ErrorType;
@@ -17,6 +17,7 @@ use cleanml_engine::Profile;
 
 fn main() {
     let args = cli::TABLE17.parse_or_exit(std::env::args());
+    install_workers(args.engine.effective_workers());
     let cfg = args.spec.config();
     let cap = if args.spec.profile == Profile::Paper { usize::MAX } else { args.cap.unwrap_or(3) };
     banner("Table 17 (Mixed Error Types vs Single Error Type)", &cfg);
@@ -35,8 +36,8 @@ fn main() {
 
     header("Cleaning Mixed Error Types vs. Single Error Type");
     // One job per (dataset, single error type): all comparisons run
-    // concurrently on the engine's job pool.
-    let grouped = grouped_flags(&comparisons, args.engine.effective_workers(), |name, single| {
+    // concurrently on the installed workers.
+    let grouped = grouped_flags(&comparisons, |name, single| {
         let spec = spec_by_name(name).expect("known dataset");
         let data = generate(spec, dataset_seed(name, cfg.base_seed));
         compare_mixed_vs_single(&data, single, cap, &cfg).expect("comparison").flag

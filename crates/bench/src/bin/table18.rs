@@ -9,13 +9,13 @@
 //!
 //! P = cleaning better than the robust model.
 
-use cleanml_bench::{banner, cli, dist_of, header};
+use cleanml_bench::{banner, cli, dist_of, header, install_workers};
 use cleanml_core::analysis::render_flag_table;
 use cleanml_core::robust::RobustBaseline::{self, Mlp, Nacl};
 use cleanml_core::robust::{compare_cleaning_vs_robust, table18_pool};
 use cleanml_core::schema::ErrorType;
 use cleanml_core::study::generate_datasets_for;
-use cleanml_engine::parallel_map;
+use cleanml_parallel::run_indexed;
 
 /// One table row: label, error type, LR-only pool, robust baseline.
 const ROWS: [(&str, ErrorType, bool, RobustBaseline); 6] = [
@@ -29,6 +29,7 @@ const ROWS: [(&str, ErrorType, bool, RobustBaseline); 6] = [
 
 fn main() {
     let args = cli::SPEC_WORKERS.parse_or_exit(std::env::args());
+    install_workers(args.engine.effective_workers());
     let cfg = args.spec.config();
     banner("Table 18 (Robust ML vs Data Cleaning)", &cfg);
 
@@ -37,10 +38,10 @@ fn main() {
     for (label, error_type, lr_only, baseline) in ROWS {
         let pool = table18_pool(lr_only);
         // Generate eagerly (shared mislabel bases are built once), then fan
-        // the per-dataset comparisons out on the engine pool.
+        // the per-dataset comparisons out on the installed workers.
         let datasets = generate_datasets_for(error_type, cfg.base_seed);
-        let flags = parallel_map(&datasets, args.engine.effective_workers(), |data| {
-            compare_cleaning_vs_robust(data, error_type, &pool, baseline, &cfg)
+        let flags = run_indexed(datasets.len(), |i| {
+            compare_cleaning_vs_robust(&datasets[i], error_type, &pool, baseline, &cfg)
                 .expect("comparison")
                 .flag
         });

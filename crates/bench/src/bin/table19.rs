@@ -5,7 +5,7 @@
 //! the three inconsistency datasets' canonical spellings.
 //! P = human cleaning better than the best automatic method.
 
-use cleanml_bench::{banner, cli, dist_of, grouped_flags, header};
+use cleanml_bench::{banner, cli, dist_of, grouped_flags, header, install_workers};
 use cleanml_core::analysis::render_flag_table;
 use cleanml_core::human::compare_human_vs_automatic;
 use cleanml_core::schema::ErrorType;
@@ -14,6 +14,7 @@ use cleanml_datagen::{generate, spec_by_name};
 
 fn main() {
     let args = cli::SPEC_WORKERS.parse_or_exit(std::env::args());
+    install_workers(args.engine.effective_workers());
     let cfg = args.spec.config();
     banner("Table 19 (Automatic vs Human Cleaning)", &cfg);
 
@@ -25,7 +26,7 @@ fn main() {
 
     header("Automatic Cleaning vs Human Cleaning (P = human better)");
     // One job per (dataset, error type), all run concurrently.
-    let grouped = grouped_flags(&comparisons, args.engine.effective_workers(), |name, et| {
+    let grouped = grouped_flags(&comparisons, |name, et| {
         let spec = spec_by_name(name).expect("known dataset");
         let data = generate(spec, dataset_seed(name, cfg.base_seed));
         compare_human_vs_automatic(&data, et, &cfg).expect("comparison").flag

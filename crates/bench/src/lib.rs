@@ -18,14 +18,13 @@
 
 pub mod cli;
 
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 
 use cleanml_core::database::FlagDist;
 use cleanml_core::schema::ErrorType;
 use cleanml_core::{CleanMlDb, ExperimentConfig};
-use cleanml_engine::{
-    parallel_map, CacheStats, Engine, EngineEvent, RunReport, SlowTask, StatsSnapshot,
-};
+use cleanml_engine::{CacheStats, Engine, EngineEvent, RunReport, SlowTask, StatsSnapshot};
+use cleanml_parallel::{install_bridge, run_indexed, ThreadBridge};
 use cleanml_stats::Flag;
 
 /// Parses a byte size: a plain integer, optionally suffixed `k`/`m`/`g`
@@ -270,14 +269,18 @@ pub fn slowest_tasks_field(slow: &[SlowTask]) -> String {
         .join(",")
 }
 
-/// Fans the per-dataset jobs of grouped comparisons (Tables 17/19) out on
-/// the engine job pool (`workers` threads) and regroups the flags by
-/// comparison, preserving order.
-pub fn grouped_flags<F>(
-    comparisons: &[(&[&str], ErrorType)],
-    workers: usize,
-    f: F,
-) -> Vec<Vec<Flag>>
+/// Gives this thread's [`run_indexed`] calls `workers` threads in total:
+/// the caller plus `workers - 1` helpers spawned per call. The binaries
+/// that run outside the engine (Tables 17–19 and the detector/split
+/// ablations) call this once after parsing; nested calls stay serial.
+pub fn install_workers(workers: usize) {
+    install_bridge(Arc::new(ThreadBridge { helpers: workers.saturating_sub(1) }));
+}
+
+/// Fans the per-dataset jobs of grouped comparisons (Tables 17/19) out
+/// through [`run_indexed`] and regroups the flags by comparison,
+/// preserving order.
+pub fn grouped_flags<F>(comparisons: &[(&[&str], ErrorType)], f: F) -> Vec<Vec<Flag>>
 where
     F: Fn(&str, ErrorType) -> Flag + Sync,
 {
@@ -286,7 +289,7 @@ where
         .enumerate()
         .flat_map(|(ci, (datasets, et))| datasets.iter().map(move |&d| (ci, d, *et)))
         .collect();
-    let flags = parallel_map(&jobs, workers, |&(_, name, et)| f(name, et));
+    let flags = run_indexed(jobs.len(), |i| f(jobs[i].1, jobs[i].2));
     let mut grouped = vec![Vec::new(); comparisons.len()];
     for (&(ci, _, _), flag) in jobs.iter().zip(flags) {
         grouped[ci].push(flag);
@@ -352,13 +355,15 @@ mod tests {
     fn grouped_flags_preserves_comparison_order() {
         let comparisons: [(&[&str], ErrorType); 2] =
             [(&["A", "B"], ErrorType::Outliers), (&["C"], ErrorType::Duplicates)];
-        let grouped = grouped_flags(&comparisons, 2, |name, et| {
+        install_workers(2);
+        let grouped = grouped_flags(&comparisons, |name, et| {
             if name == "B" || et == ErrorType::Duplicates {
                 Flag::Positive
             } else {
                 Flag::Insignificant
             }
         });
+        cleanml_parallel::clear_bridge();
         assert_eq!(grouped, vec![vec![Flag::Insignificant, Flag::Positive], vec![Flag::Positive]]);
     }
 

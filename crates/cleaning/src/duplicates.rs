@@ -210,27 +210,21 @@ pub fn fit(detection: DuplicateDetection, train: &Table) -> Result<FittedDuplica
             let pairs = candidate_pairs(train, &text_cols);
             let dim = feature_dim(&num_cols);
             let fz = PairFeaturizer::new(train, &text_cols, &num_cols);
-            // The O(n²) feature sweep fans out in contiguous chunks; rows
-            // land back in pair order, so the GMM sees the exact matrix
-            // the serial loop built.
+            // The O(n²) feature sweep fans out in contiguous chunks; the
+            // chunk blocks stack back in pair order, so the GMM sees the
+            // exact matrix the serial loop built.
             let chunks = pair_chunks(pairs.len());
-            let chunk_rows: Vec<Vec<f64>> = cleanml_parallel::run_indexed(chunks.len(), |ci| {
+            let parts = cleanml_parallel::run_indexed(chunks.len(), |ci| {
                 let range = chunks[ci].clone();
-                let mut rows = vec![0.0; range.len() * dim];
+                let mut part = SimMatrix::zeroed(range.len(), dim);
+                let mut feat = vec![0.0; dim];
                 for (j, &(a, b)) in pairs[range].iter().enumerate() {
-                    fz.features_into(a, b, &mut rows[j * dim..(j + 1) * dim]);
+                    fz.features_into(a, b, &mut feat);
+                    part.set_row(j, &feat);
                 }
-                rows
+                part
             });
-            let mut points = SimMatrix::zeroed(pairs.len(), dim);
-            let mut i = 0;
-            for rows in &chunk_rows {
-                for feat in rows.chunks_exact(dim) {
-                    points.set_row(i, feat);
-                    i += 1;
-                }
-            }
-            PairGmm::fit(&points)
+            PairGmm::fit(&SimMatrix::stack(&parts, dim))
         }
     };
     Ok(FittedDuplicates { detection, gmm })

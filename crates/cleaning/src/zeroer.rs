@@ -57,6 +57,19 @@ impl SimMatrix {
         }
     }
 
+    /// Stacks `dim`-wide row blocks into one matrix, block rows in order.
+    pub fn stack(parts: &[SimMatrix], dim: usize) -> SimMatrix {
+        let n = parts.iter().map(|p| p.n).sum();
+        let mut data = Vec::with_capacity(n * dim);
+        for d in 0..dim {
+            for part in parts {
+                assert_eq!(part.dim, dim, "similarity vector width mismatch");
+                data.extend_from_slice(part.col(d));
+            }
+        }
+        SimMatrix { data, n, dim }
+    }
+
     /// Gathers pair `i`'s similarity vector into `out`.
     pub fn read_row(&self, i: usize, out: &mut [f64]) {
         assert_eq!(out.len(), self.dim, "similarity vector width mismatch");
@@ -338,5 +351,19 @@ mod tests {
         assert_eq!(m.col(1), &[2.0, 4.0, 6.0]);
         assert_eq!(m.at(1, 1), 4.0);
         assert_eq!(row_of(&m, 2), vec![5.0, 6.0]);
+    }
+
+    #[test]
+    fn stacked_blocks_keep_row_order() {
+        let mut top = SimMatrix::zeroed(2, 2);
+        top.set_row(0, &[1.0, 2.0]);
+        top.set_row(1, &[3.0, 4.0]);
+        let mut bottom = SimMatrix::zeroed(1, 2);
+        bottom.set_row(0, &[5.0, 6.0]);
+        let m = SimMatrix::stack(&[top, bottom], 2);
+        assert_eq!((m.n_rows(), m.dim()), (3, 2));
+        assert_eq!(m.col(0), &[1.0, 3.0, 5.0]);
+        assert_eq!(m.col(1), &[2.0, 4.0, 6.0]);
+        assert_eq!(SimMatrix::stack(&[], 4), SimMatrix::zeroed(0, 4));
     }
 }

@@ -164,24 +164,13 @@ pub fn evaluate_grid_with(
     }
     let ctx = tasks::dataset_context(data)?;
 
-    let cells: Vec<Vec<Vec<CellEval>>> = if cfg.parallel && cfg.n_splits > 1 {
-        // One thread per split; the paper's 20 splits are comfortably within
-        // OS scheduling limits and each is CPU-bound and independent.
-        let results: Vec<Result<Vec<Vec<CellEval>>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..cfg.n_splits)
-                .map(|s| {
-                    let ctx = &ctx;
-                    scope.spawn(move || eval_split(data, error_type, methods, models, ctx, cfg, s))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("split thread panicked")).collect()
-        });
-        results.into_iter().collect::<Result<Vec<_>>>()?
-    } else {
-        (0..cfg.n_splits)
-            .map(|s| eval_split(data, error_type, methods, models, &ctx, cfg, s))
-            .collect::<Result<Vec<_>>>()?
-    };
+    // Splits are independent: fanned out when the host installed a
+    // subwork bridge, a plain serial loop otherwise.
+    let cells = cleanml_parallel::run_indexed(cfg.n_splits, |s| {
+        eval_split(data, error_type, methods, models, &ctx, cfg, s)
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>>>()?;
 
     Ok(EvalGrid {
         dataset: data.name.clone(),
@@ -270,7 +259,7 @@ impl EvalGrid {
                             }
                         }
                     }
-                    let (flag, evidence) = evidence_pairs(&before, &after)?;
+                    let (flag, evidence) = evidence(&before, &after)?;
                     rows.push(Row1 {
                         dataset: self.dataset.clone(),
                         error_type: self.error_type,
@@ -310,7 +299,7 @@ impl EvalGrid {
                         }
                     }
                 }
-                let (flag, evidence) = evidence_pairs(&before, &after)?;
+                let (flag, evidence) = evidence(&before, &after)?;
                 rows.push(Row2 {
                     dataset: self.dataset.clone(),
                     error_type: self.error_type,
@@ -347,7 +336,7 @@ impl EvalGrid {
                     }
                 }
             }
-            let (flag, evidence) = evidence_pairs(&before, &after)?;
+            let (flag, evidence) = evidence(&before, &after)?;
             rows.push(Row3 {
                 dataset: self.dataset.clone(),
                 error_type: self.error_type,
@@ -384,10 +373,6 @@ impl EvalGrid {
         }
         best
     }
-}
-
-fn evidence_pairs(before: &[f64], after: &[f64]) -> Result<(Flag, Evidence)> {
-    evidence(before, after)
 }
 
 /// Result of selecting and scoring the best model family on a train/test
@@ -469,7 +454,7 @@ pub fn run_r1_experiment(
     }
     let before: Vec<f64> = pairs.iter().map(|p| p.0).collect();
     let after: Vec<f64> = pairs.iter().map(|p| p.1).collect();
-    let (flag, evidence) = evidence_pairs(&before, &after)?;
+    let (flag, evidence) = evidence(&before, &after)?;
     Ok(ExperimentOutcome { flag, evidence, pairs })
 }
 
@@ -480,7 +465,7 @@ mod tests {
     use cleanml_datagen::{generate, spec_by_name};
 
     fn quick_cfg() -> ExperimentConfig {
-        ExperimentConfig { n_splits: 4, parallel: false, ..ExperimentConfig::quick() }
+        ExperimentConfig { n_splits: 4, ..ExperimentConfig::quick() }
     }
 
     #[test]
@@ -575,11 +560,15 @@ mod tests {
         let data = generate(spec_by_name("Sensor").unwrap(), 9);
         let methods = [CleaningMethod::catalogue(ErrorType::Outliers)[0]];
         let models = [ModelKind::NaiveBayes];
-        let seq = ExperimentConfig { parallel: false, ..quick_cfg() };
-        let par = ExperimentConfig { parallel: true, ..quick_cfg() };
-        let g1 = evaluate_grid_with(&data, ErrorType::Outliers, &methods, &models, &seq).unwrap();
-        let g2 = evaluate_grid_with(&data, ErrorType::Outliers, &methods, &models, &par).unwrap();
-        for s in 0..seq.n_splits {
+        let cfg = quick_cfg();
+        let g1 = evaluate_grid_with(&data, ErrorType::Outliers, &methods, &models, &cfg).unwrap();
+        cleanml_parallel::install_bridge(std::sync::Arc::new(cleanml_parallel::ThreadBridge {
+            helpers: 3,
+        }));
+        let g2 = evaluate_grid_with(&data, ErrorType::Outliers, &methods, &models, &cfg);
+        cleanml_parallel::clear_bridge();
+        let g2 = g2.unwrap();
+        for s in 0..cfg.n_splits {
             assert_eq!(g1.cell(s, 0, 0), g2.cell(s, 0, 0));
         }
     }

@@ -55,7 +55,6 @@
 pub mod cache;
 pub mod event;
 pub mod graph;
-pub mod jobs;
 pub mod pool;
 pub mod remote;
 pub mod study;
@@ -65,8 +64,7 @@ pub mod telemetry;
 pub use cache::{ArtifactCache, CacheKey, CacheStats, DiskStore, Retention};
 pub use event::{EngineEvent, EventSink, TaskKind};
 pub use graph::{TaskGraph, TaskId};
-pub use jobs::parallel_map;
-pub use pool::{ClassCosts, CostModel, ExecStats, PersistSink, Pool, RunReport, SubmissionHandle};
+pub use pool::{ClassCosts, CostModel, ExecStats, Pool, RunReport, SubmissionHandle};
 pub use remote::{
     parse_query, percent_decode, FaultPlan, GatewayBackend, GatewayError, Profile, RemoteHub,
     Select, StudySpec, StudyState, StudyStatus, SubmitSpec, WorkerSummary, DEFAULT_LEASE_TIMEOUT,

@@ -54,8 +54,9 @@ use crate::event::TaskKind;
 /// plane's `Status` and result report grew a trailing `dropped_events`
 /// count; 3 — the serving plane (`Submit`/`Status`/`ResultCsv`/`Cancel`/
 /// `ServeError`) is retired, its tags no longer decode, and clients use
-/// the HTTP gateway.
-pub const PROTOCOL_VERSION: u16 = 3;
+/// the HTTP gateway; 4 — the `StudySpec` drops its trailing
+/// thread-per-split byte, which workers never read.
+pub const PROTOCOL_VERSION: u16 = 4;
 
 /// Upper bound on a single message payload. The largest legitimate payload
 /// is one artifact (a split's tables for the biggest dataset — a few MiB);
@@ -124,7 +125,6 @@ impl StudySpec {
         push_usize(&mut out, self.cfg.search.cv_folds);
         push_f64(&mut out, self.cfg.alpha);
         push_u64(&mut out, self.cfg.base_seed);
-        push_tag(&mut out, self.cfg.parallel as u8);
         out
     }
 
@@ -144,11 +144,6 @@ impl StudySpec {
         let cv_folds = take_usize(&mut r)?;
         let alpha = take_f64(&mut r)?;
         let base_seed = take_u64(&mut r)?;
-        let parallel = match take_tag(&mut r)? {
-            0 => false,
-            1 => true,
-            _ => return None,
-        };
         let spec = StudySpec {
             error_types,
             cfg: ExperimentConfig {
@@ -157,7 +152,6 @@ impl StudySpec {
                 search: SearchBudget { n_candidates, cv_folds },
                 alpha,
                 base_seed,
-                parallel,
             },
         };
         r.is_empty().then_some(spec)

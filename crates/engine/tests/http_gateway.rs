@@ -38,7 +38,7 @@ fn serial() -> MutexGuard<'static, ()> {
 }
 
 fn tiny_cfg() -> ExperimentConfig {
-    ExperimentConfig { n_splits: 2, parallel: false, ..ExperimentConfig::quick() }
+    ExperimentConfig { n_splits: 2, ..ExperimentConfig::quick() }
 }
 
 fn gateway_engine(workers: usize) -> Engine {

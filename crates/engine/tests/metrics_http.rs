@@ -19,7 +19,7 @@ use cleanml_core::{run_study, ExperimentConfig};
 use cleanml_engine::{Engine, EngineConfig};
 
 fn tiny_cfg() -> ExperimentConfig {
-    ExperimentConfig { n_splits: 2, parallel: false, ..ExperimentConfig::quick() }
+    ExperimentConfig { n_splits: 2, ..ExperimentConfig::quick() }
 }
 
 fn hub_engine(workers: usize) -> Engine {

@@ -11,7 +11,7 @@
 //! `(n_rows, k, seed)` key, it owns the fold index sets and materializes
 //! each fold's train/val [`FeatureMatrix`] pair lazily, exactly once, behind
 //! an `OnceLock`. Every candidate of a [`random_search`] — and every model
-//! family of a `select_best_model` run sharing the key — scores against the
+//! family searched against the same plan — scores against the
 //! *same* `Arc`'d fold matrices, so their argsort sidecars
 //! ([`FeatureMatrix::sorted_cols`] / `sorted_cols_chained`) are built once
 //! per fold rather than once per candidate. The `(candidate, fold)` grid
@@ -65,9 +65,9 @@ struct FoldSlot {
 ///
 /// Construction computes only the fold *index* sets ([`kfold_indices`]);
 /// the per-fold train/val matrices are gathered on first use and cached,
-/// so all candidates (and, via `select_best_model`, all model families
-/// sharing the key) score against one set of fold matrices whose argsort
-/// sidecars are built once per fold.
+/// so all candidates (and all model families searched against the plan)
+/// score against one set of fold matrices whose argsort sidecars are built
+/// once per fold.
 pub struct FoldPlan<'a> {
     data: &'a FeatureMatrix,
     /// Folds actually used (requested `k` clamped to `[2, n_rows]`).
@@ -83,8 +83,8 @@ pub struct FoldPlan<'a> {
 }
 
 impl<'a> FoldPlan<'a> {
-    /// Builds the plan for `k`-fold CV over `data` under `seed`. Errors —
-    /// like [`cross_val_score`] always has — when `data` has under 2 rows.
+    /// Builds the plan for `k`-fold CV over `data` under `seed`. Errors
+    /// when `data` has under 2 rows.
     pub fn new(data: &'a FeatureMatrix, k: usize, seed: u64) -> Result<FoldPlan<'a>> {
         let n = data.n_rows();
         if n < 2 {
@@ -129,14 +129,6 @@ impl<'a> FoldPlan<'a> {
     /// is what makes the `(candidate, fold)` grid embarrassingly parallel.
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// Whether this plan serves a `(n_rows, k, seed)` CV request (the
-    /// requested `k` is clamped the same way construction clamped it).
-    pub fn matches(&self, data: &FeatureMatrix, k: usize, seed: u64) -> bool {
-        std::ptr::eq(self.data, data)
-            && self.seed == seed
-            && self.k == k.clamp(2, data.n_rows().max(2))
     }
 
     /// The materialized `(train, val)` views of fold `fold_id`, building
@@ -205,55 +197,13 @@ pub struct SearchResult {
     pub val_score: f64,
 }
 
-/// Mean validation score of `spec` over `k`-fold cross-validation.
-///
-/// Folds whose training partition is degenerate still train (via the
-/// constant-model fallback), so the returned score is always defined.
-/// Thin wrapper: builds a single-use [`FoldPlan`] and defers to
-/// [`cross_val_score_with_plan`].
-pub fn cross_val_score(
-    spec: &ModelSpec,
-    data: &FeatureMatrix,
-    k: usize,
-    seed: u64,
-    metric: Metric,
-) -> Result<f64> {
-    let plan = FoldPlan::new(data, k, seed)?;
-    cross_val_score_with_plan(spec, &plan, metric)
-}
-
-/// [`cross_val_score`] against a caller-owned [`FoldPlan`]: same folds,
-/// same fit seeds (`plan.seed() + fold_id`), same fold-order f64
-/// accumulation — but the fold matrices come from the shared plan instead
-/// of fresh `select_rows` gathers.
-pub fn cross_val_score_with_plan(
-    spec: &ModelSpec,
-    plan: &FoldPlan<'_>,
-    metric: Metric,
-) -> Result<f64> {
-    let mut total = 0.0;
-    let mut used = 0usize;
-    for fold_id in 0..plan.n_folds() {
-        let Some((train, val)) = plan.fold(fold_id) else {
-            continue;
-        };
-        let model = spec.fit(train, plan.seed().wrapping_add(fold_id as u64))?;
-        plan.note_fit();
-        let preds = model.predict(val)?;
-        total += metric.score(val.labels(), &preds);
-        used += 1;
-    }
-    if used == 0 {
-        return Err(plan.no_usable_folds());
-    }
-    Ok(total / used as f64)
-}
-
 /// Random hyper-parameter search for one model family.
 ///
 /// Candidate 0 is the family default; candidates `1..n` are random samples.
-/// Each is scored by [`cross_val_score`]; the best (ties → first seen, i.e.
-/// the default wins exact ties) is returned. Thin wrapper: builds a
+/// Each is scored by its mean validation score over `budget.cv_folds`-fold
+/// cross-validation; the best (ties → first seen, i.e. the default wins
+/// exact ties) is returned. With `n_candidates: 1` the result is the
+/// family default's CV score. Thin wrapper: builds a
 /// single-search [`FoldPlan`] and defers to [`random_search_with_plan`],
 /// so even standalone searches materialize each fold once, not once per
 /// candidate.
@@ -365,29 +315,53 @@ mod tests {
         FeatureMatrix::from_parts(data, n, 1, labels, 2)
     }
 
+    fn xor_data(n: usize) -> FeatureMatrix {
+        // Not linearly separable: tree-family models should win over LR/NB.
+        let mut data = Vec::new();
+        let mut labels = Vec::new();
+        for i in 0..n {
+            let a = (i / 2) % 2;
+            let b = i % 2;
+            let jitter = ((i * 17 % 29) as f64 / 29.0 - 0.5) * 0.3;
+            data.push(a as f64 + jitter);
+            data.push(b as f64 - jitter);
+            labels.push(a ^ b);
+        }
+        FeatureMatrix::from_parts(data, n, 2, labels, 2)
+    }
+
+    /// The family default's mean `k`-fold CV score: a one-candidate search.
+    fn cv_score(
+        kind: ModelKind,
+        data: &FeatureMatrix,
+        k: usize,
+        seed: u64,
+        metric: Metric,
+    ) -> Result<f64> {
+        let budget = SearchBudget { n_candidates: 1, cv_folds: k };
+        random_search(kind, data, budget, seed, metric).map(|r| r.val_score)
+    }
+
     #[test]
     fn cv_score_reasonable_on_separable() {
         let data = blobs(60);
-        let spec = ModelSpec::default_for(ModelKind::DecisionTree);
-        let score = cross_val_score(&spec, &data, 5, 1, Metric::Accuracy).unwrap();
+        let score = cv_score(ModelKind::DecisionTree, &data, 5, 1, Metric::Accuracy).unwrap();
         assert!(score > 0.9, "score {score}");
     }
 
     #[test]
     fn cv_deterministic() {
         let data = blobs(40);
-        let spec = ModelSpec::default_for(ModelKind::RandomForest);
-        let s1 = cross_val_score(&spec, &data, 4, 9, Metric::Accuracy).unwrap();
-        let s2 = cross_val_score(&spec, &data, 4, 9, Metric::Accuracy).unwrap();
+        let s1 = cv_score(ModelKind::RandomForest, &data, 4, 9, Metric::Accuracy).unwrap();
+        let s2 = cv_score(ModelKind::RandomForest, &data, 4, 9, Metric::Accuracy).unwrap();
         assert_eq!(s1, s2);
     }
 
     #[test]
     fn cv_requires_rows() {
         let data = blobs(1);
-        let spec = ModelSpec::default_for(ModelKind::Knn);
         assert!(matches!(
-            cross_val_score(&spec, &data, 5, 0, Metric::Accuracy),
+            cv_score(ModelKind::Knn, &data, 5, 0, Metric::Accuracy),
             Err(MlError::TooFewRowsForCv { .. })
         ));
     }
@@ -395,9 +369,8 @@ mod tests {
     #[test]
     fn cv_clamps_folds() {
         let data = blobs(4);
-        let spec = ModelSpec::default_for(ModelKind::NaiveBayes);
         // 10 folds on 4 rows clamps to 4
-        let score = cross_val_score(&spec, &data, 10, 0, Metric::Accuracy).unwrap();
+        let score = cv_score(ModelKind::NaiveBayes, &data, 10, 0, Metric::Accuracy).unwrap();
         assert!((0.0..=1.0).contains(&score));
     }
 
@@ -440,8 +413,8 @@ mod tests {
     #[test]
     fn f1_metric_usable() {
         let data = blobs(50);
-        let spec = ModelSpec::default_for(ModelKind::LogisticRegression);
-        let score = cross_val_score(&spec, &data, 3, 0, Metric::F1 { positive: 1 }).unwrap();
+        let f1 = Metric::F1 { positive: 1 };
+        let score = cv_score(ModelKind::LogisticRegression, &data, 3, 0, f1).unwrap();
         assert!(score > 0.8);
     }
 
@@ -477,7 +450,10 @@ mod tests {
             let spec = ModelSpec::default_for(kind);
             for (k, seed) in [(3usize, 7u64), (5, 0), (40, 123)] {
                 let plan = FoldPlan::new(&data, k, seed).unwrap();
-                let planned = cross_val_score_with_plan(&spec, &plan, Metric::Accuracy).unwrap();
+                let budget = SearchBudget { n_candidates: 1, cv_folds: k };
+                let planned = random_search_with_plan(kind, &plan, budget, seed, Metric::Accuracy)
+                    .unwrap()
+                    .val_score;
                 let naive = naive_cv(&spec, &data, k, seed, Metric::Accuracy);
                 assert!(
                     planned.to_bits() == naive.to_bits(),
@@ -499,7 +475,7 @@ mod tests {
         assert!(Arc::ptr_eq(&t0a, t0b));
         assert!(Arc::ptr_eq(&t0v, v0b));
         assert_eq!(plan.reuses(), 1);
-        // the nine sibling families of a selection run share those Arcs
+        // nine families searched against the plan share those Arcs
         let nine = [
             ModelKind::LogisticRegression,
             ModelKind::Knn,
@@ -526,9 +502,6 @@ mod tests {
         // the process-wide telemetry aggregates moved at least as much
         assert!(cv_fits_total() - global0.0 >= 9 * 3);
         assert!(fold_reuse_total() - global0.1 >= 9 * 3 - 1);
-        assert!(plan.matches(&data, 3, 9));
-        assert!(!plan.matches(&data, 4, 9));
-        assert!(!plan.matches(&data, 3, 8));
     }
 
     #[test]
@@ -573,6 +546,32 @@ mod tests {
         cleanml_parallel::clear_bridge();
         assert_eq!(serial.spec, parallel.spec);
         assert_eq!(serial.val_score.to_bits(), parallel.val_score.to_bits());
+    }
+
+    /// Validation-based model selection (paper §IV-A, s2): the paper's
+    /// seven families searched against one plan, the best validation score
+    /// winning (ties → first listed). On XOR a nonlinear family must win.
+    #[test]
+    fn xor_is_won_by_a_nonlinear_family() {
+        let data = xor_data(120);
+        let plan = FoldPlan::new(&data, 3, 3).unwrap();
+        let mut best: Option<SearchResult> = None;
+        for kind in crate::model::PAPER_MODELS {
+            let r = random_search_with_plan(kind, &plan, SearchBudget::none(), 3, Metric::Accuracy)
+                .unwrap();
+            if best.as_ref().is_none_or(|b| r.val_score > b.val_score) {
+                best = Some(r);
+            }
+        }
+        let best = best.expect("seven families");
+        assert!(
+            !matches!(best.spec.kind(), ModelKind::LogisticRegression | ModelKind::NaiveBayes),
+            "winner was {}",
+            best.spec.kind()
+        );
+        assert!(best.val_score > 0.8);
+        let model = best.spec.fit(&data, 3).unwrap();
+        assert_eq!(model.predict(&data).unwrap().len(), 120);
     }
 
     #[test]

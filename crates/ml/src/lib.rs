@@ -24,8 +24,8 @@
 //! The unifying interface is [`ModelSpec`] (hyper-parameters) →
 //! [`ModelSpec::fit`] → [`FittedModel`] (predictions). [`cv`] provides
 //! k-fold cross-validation and the random hyper-parameter search the paper
-//! uses; [`selection`] implements validation-based model selection (the
-//! paper's R2 relation).
+//! uses; validation-based model selection (the paper's R2 relation) picks
+//! among the searched families' scores in `cleanml-core`.
 
 pub mod adaboost;
 pub mod codec;
@@ -40,7 +40,6 @@ pub mod mlp;
 pub mod model;
 pub mod nacl;
 pub mod naive_bayes;
-pub mod selection;
 pub mod tree;
 
 pub use codec::{decode_model, encode_model};

@@ -118,12 +118,12 @@ proptest! {
 // per-candidate implementation -----------------------------------------
 
 use cleanml_dataset::split::kfold_indices;
-use cleanml_ml::cv::{cross_val_score_with_plan, random_search_with_plan, FoldPlan, SearchBudget};
+use cleanml_ml::cv::{random_search_with_plan, FoldPlan, SearchBudget};
 use cleanml_ml::Metric;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// The pre-plan `cross_val_score`, spelled out exactly as it was: fresh
+/// The pre-plan CV score, spelled out exactly as it was: fresh
 /// `kfold_indices` + two `select_rows` gathers per fold, per call.
 fn naive_cross_val_score(
     spec: &ModelSpec,
@@ -197,8 +197,10 @@ proptest! {
         for kind in FAST_KINDS {
             let spec = ModelSpec::default_for(kind);
             let plan = FoldPlan::new(&m, k, seed).expect("n >= 2 by construction");
-            let planned =
-                cross_val_score_with_plan(&spec, &plan, Metric::Accuracy).expect("cv");
+            let budget = SearchBudget { n_candidates: 1, cv_folds: k };
+            let planned = random_search_with_plan(kind, &plan, budget, seed, Metric::Accuracy)
+                .expect("cv")
+                .val_score;
             let naive =
                 naive_cross_val_score(&spec, &m, k, seed, Metric::Accuracy).expect("cv");
             prop_assert_eq!(planned.to_bits(), naive.to_bits(), "{} k={}", kind, k);

@@ -17,6 +17,13 @@
 //!   to idle helper threads while the *calling* thread keeps claiming
 //!   indices itself, so the call always makes progress even with zero
 //!   helpers and never parks a claimed task lease.
+//! * A [`ThreadBridge`] installed on the thread (hosts without a pool,
+//!   such as the off-engine table binaries): each call spawns scoped
+//!   helper threads for its duration.
+//!
+//! This is the one fan-out primitive outside the engine pool: a host
+//! chooses parallelism by installing a bridge, never through a config
+//! knob, so results cannot depend on which executor ran an index.
 //!
 //! ## Determinism contract
 //!
@@ -31,13 +38,17 @@
 //! inline: one level of fan-out is where the parallelism profit is, and
 //! inlining the rest makes re-entrant deadlocks unrepresentable.
 
+use std::any::Any;
 use std::cell::Cell;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// A host-provided executor for indexed subwork. `run` must invoke
 /// `work(i)` exactly once for every `i in 0..n` (on any threads it likes)
-/// and must not return before all `n` invocations have completed.
+/// and must not return before all `n` invocations have completed — or,
+/// if one of them panics, unwind with that panic once every invocation
+/// in flight has finished.
 pub trait SubworkBridge: Send + Sync {
     fn run(&self, n: usize, work: &(dyn Fn(usize) + Sync));
 }
@@ -64,14 +75,18 @@ pub fn clear_bridge() {
 }
 
 /// Marks this thread as executing subwork for the duration of `f`:
-/// `run_indexed` calls made inside run serially inline.
-pub fn enter_subwork<R>(f: impl FnOnce() -> R) -> R {
-    IN_SUBWORK.with(|flag| {
-        let was = flag.replace(true);
-        let out = f();
-        flag.set(was);
-        out
-    })
+/// `run_indexed` calls made inside run serially inline. The flag is
+/// restored even when `f` unwinds, so a caught panic does not leave the
+/// thread serial for good.
+fn enter_subwork<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            IN_SUBWORK.with(|flag| flag.set(self.0));
+        }
+    }
+    let _restore = Restore(IN_SUBWORK.with(|flag| flag.replace(true)));
+    f()
 }
 
 /// Runs `f(i)` for every `i in 0..n` and returns the results in index
@@ -118,11 +133,17 @@ pub fn chunk_ranges(n: usize, max_chunks: usize) -> Vec<std::ops::Range<usize>> 
     out
 }
 
-/// A self-contained bridge that runs subwork on `helpers` freshly spawned
-/// threads per call (the caller drives too). Not for production hot paths
-/// — the engine's pool bridges onto its resident workers — but exactly
-/// what byte-identity tests need: a real multi-thread execution of the
-/// kernels without standing infrastructure.
+/// A self-contained bridge that runs subwork on up to `helpers` freshly
+/// spawned threads per call while the caller drives too. The engine's
+/// pool bridges onto its resident workers instead; this bridge is how a
+/// host without a pool fans out: the §VII table and ablation binaries
+/// install `ThreadBridge { helpers: workers - 1 }` on their main thread,
+/// and tests install one to run the kernels on several threads.
+///
+/// A panic in `work` reaches the caller with its *original* payload: the
+/// first one is kept, the remaining indices are abandoned so every thread
+/// winds down promptly, and the payload is re-raised after the scope
+/// (instead of the scope's generic "a scoped thread panicked").
 pub struct ThreadBridge {
     pub helpers: usize,
 }
@@ -130,19 +151,27 @@ pub struct ThreadBridge {
 impl SubworkBridge for ThreadBridge {
     fn run(&self, n: usize, work: &(dyn Fn(usize) + Sync)) {
         let next = AtomicUsize::new(0);
+        let panicked: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
         let drive = || loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
             if i >= n {
                 break;
             }
-            work(i);
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| work(i))) {
+                panicked.lock().expect("panic slot").get_or_insert(payload);
+                next.store(n, Ordering::Relaxed);
+                break;
+            }
         };
         std::thread::scope(|scope| {
-            for _ in 0..self.helpers {
+            for _ in 0..self.helpers.min(n.saturating_sub(1)) {
                 scope.spawn(drive);
             }
             drive();
         });
+        if let Some(payload) = panicked.into_inner().expect("panic slot") {
+            resume_unwind(payload);
+        }
     }
 }
 
@@ -298,10 +327,20 @@ mod tests {
         t.join().unwrap();
     }
 
+    /// The text of a caught panic payload (`panic!` with arguments
+    /// carries a `String`, a literal a `&'static str`).
+    fn payload_text(payload: &(dyn Any + Send)) -> String {
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .expect("payload must stay downcastable")
+    }
+
     #[test]
     fn panics_propagate_through_bridge() {
         install_bridge(Arc::new(ThreadBridge { helpers: 1 }));
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let caught = catch_unwind(AssertUnwindSafe(|| {
             run_indexed(4, |i| {
                 if i == 2 {
                     panic!("boom");
@@ -310,6 +349,82 @@ mod tests {
             })
         }));
         clear_bridge();
+        assert_eq!(payload_text(&*caught.expect_err("panic must propagate")), "boom");
+    }
+
+    /// The original panic payload must reach the caller — not a poisoned
+    /// mutex message, not the scope's generic "a scoped thread panicked".
+    #[test]
+    fn thread_bridge_panic_surfaces_its_original_payload() {
+        for helpers in [1, 7] {
+            install_bridge(Arc::new(ThreadBridge { helpers }));
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                run_indexed(64, |i| {
+                    if i == 7 {
+                        panic!("boom at item {i}");
+                    }
+                    i
+                })
+            }));
+            clear_bridge();
+            let msg = payload_text(&*caught.expect_err("panicking f must propagate"));
+            assert_eq!(msg, "boom at item 7", "helpers={helpers}");
+        }
+        // &'static str payloads survive too
+        install_bridge(Arc::new(ThreadBridge { helpers: 1 }));
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            run_indexed(3, |_| -> usize { std::panic::panic_any("static-str") })
+        }));
+        clear_bridge();
+        let payload = caught.expect_err("panic_any must propagate");
+        assert_eq!(payload.downcast_ref::<&str>().copied(), Some("static-str"));
+    }
+
+    #[test]
+    fn thread_bridge_panic_abandons_the_remaining_items() {
+        let ran = AtomicUsize::new(0);
+        install_bridge(Arc::new(ThreadBridge { helpers: 1 }));
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            run_indexed(1000, |i| {
+                ran.fetch_add(1, Ordering::Relaxed);
+                if i == 0 {
+                    panic!("first item fails");
+                }
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            })
+        }));
+        clear_bridge();
         assert!(caught.is_err());
+        // each item takes a millisecond, far longer than the panic takes to
+        // stop the claims, so the other thread finishes about the one item
+        // it holds, far short of the full range
+        assert!(ran.load(Ordering::Relaxed) < 100, "ran {} items", ran.load(Ordering::Relaxed));
+    }
+
+    #[test]
+    fn caught_panic_leaves_the_thread_fanning_out() {
+        // with no helpers the calling thread runs the item itself, so the
+        // panic unwinds out of its own subwork scope
+        install_bridge(Arc::new(ThreadBridge { helpers: 0 }));
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            run_indexed(2, |_| -> usize { panic!("subtask fails") })
+        }));
+        assert!(caught.is_err());
+        assert!(!IN_SUBWORK.with(|flag| flag.get()), "subwork flag left set after unwinding");
+        install_bridge(Arc::new(ThreadBridge { helpers: 1 }));
+        // each item waits for the other to start: fanned out, the two run
+        // at once on two threads; left serial, the first waits out the
+        // deadline and both run on the caller
+        let started = AtomicUsize::new(0);
+        let threads = run_indexed(2, |_| {
+            started.fetch_add(1, Ordering::SeqCst);
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+            while started.load(Ordering::SeqCst) < 2 && std::time::Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            std::thread::current().id()
+        });
+        clear_bridge();
+        assert_ne!(threads[0], threads[1], "the next call stayed serial");
     }
 }
