@@ -7,8 +7,8 @@
 //! the metrics registry, the scheduler's observed EWMA task costs, and
 //! the measured telemetry overhead (asserted under 2%). Committing the
 //! file gives the repository its first perf baseline; regenerate it with
-//! `cargo run --release --bin cleanml-bench-trajectory` after changes
-//! that should move the needle.
+//! `cargo run --release -p cleanml-bench --bin cleanml-bench-trajectory`
+//! after changes that should move the needle.
 //!
 //! `--trace-out FILE` records an extra traced cold run, so tracing cost
 //! never pollutes the overhead measurement.
@@ -110,6 +110,7 @@ fn main() {
     let mut train_cv_fits = 0u64;
     let mut train_fold_reuse = 0u64;
     let mut overhead_pct = f64::INFINITY;
+    let mut overhead_pairs: Vec<f64> = Vec::new();
 
     // Unmeasured warm-up: the first study in a fresh process pays one-off
     // costs (page cache, allocator, CPU governor ramp) that would be
@@ -194,11 +195,13 @@ fn main() {
         // on/off pair (both legs share the same machine epoch, so slow
         // drift cancels) and keeps the best pair seen. A single pair
         // where the instrumented run is not measurably slower bounds the
-        // true overhead below the noise floor.
-        let pair_pct = ((attempt_on.as_secs_f64() - attempt_off.as_secs_f64())
+        // true overhead below the noise floor. Pairs stay signed: a
+        // negative one says the telemetry-off leg was the slower, so the
+        // noise exceeded the overhead, and every pair is recorded.
+        let pair_pct = (attempt_on.as_secs_f64() - attempt_off.as_secs_f64())
             / attempt_off.as_secs_f64()
-            * 100.0)
-            .max(0.0);
+            * 100.0;
+        overhead_pairs.push(pair_pct);
         overhead_pct = overhead_pct.min(pair_pct);
         if overhead_pct < OVERHEAD_BUDGET_PCT {
             break;
@@ -274,6 +277,8 @@ fn main() {
     j.push_str(&format!("  \"warm_wall_ms\": {:.1},\n", ms(warm_on)));
     j.push_str(&format!("  \"telemetry_off_cold_wall_ms\": {:.1},\n", ms(cold_off)));
     j.push_str(&format!("  \"telemetry_overhead_pct\": {overhead_pct:.2},\n"));
+    let pairs: Vec<String> = overhead_pairs.iter().map(|p| format!("{p:.2}")).collect();
+    j.push_str(&format!("  \"telemetry_overhead_pairs_pct\": [{}],\n", pairs.join(", ")));
     j.push_str(&format!("  \"train_cv_fits\": {train_cv_fits},\n"));
     j.push_str(&format!("  \"train_fold_reuse\": {train_fold_reuse},\n"));
     j.push_str("  \"task_latency\": {\n");

@@ -1,7 +1,7 @@
 //! `cleanml-serve` — the resident CleanML engine as a daemon.
 //!
-//! One long-lived [`cleanml_engine::Engine`] owns the worker pool, the
-//! warm in-memory memo and the persistent artifact store; the `--listen`
+//! One long-lived [`cleanml_engine::Engine`] owns the worker pool (with
+//! its warm LRU) and the persistent artifact store; the `--listen`
 //! socket serves *both* peer kinds on one port:
 //!
 //! * HTTP clients use the results gateway: `POST /studies` to submit a
@@ -45,7 +45,7 @@ fn main() {
             store.len(),
             store.total_bytes()
         ),
-        None => println!("[cleanml-serve] no --cache-dir: memo is in-memory only"),
+        None => println!("[cleanml-serve] no --cache-dir: artifacts stay in memory only"),
     }
     println!(
         "[cleanml-serve] http:   http://{addr}/metrics | /studies ({})",

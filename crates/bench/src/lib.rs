@@ -209,7 +209,7 @@ pub fn run_study_cli(error_types: &[ErrorType], args: &cli::Args) -> CleanMlDb {
 /// the persistent store's size, and the run's execution provenance (local
 /// vs remote, plus re-leased orphans), in a stable greppable format.
 /// `executed_train` counts `Train` tasks across both provenances — the
-/// warm-memo acceptance signal (a warm serve answers with
+/// warm-answer acceptance signal (a warm serve answers with
 /// `executed_train=0`). `cv` is the run's `(cv_fits, fold_reuse)` delta
 /// from the fold plane: how many candidate×fold model fits the search
 /// grid executed and how many fold materializations were answered by an

@@ -127,6 +127,19 @@ impl Column {
         self.len() == 0
     }
 
+    /// Approximate heap footprint in bytes: the cells plus, for a
+    /// categorical column, its dictionary and reverse index.
+    pub fn heap_bytes(&self) -> u64 {
+        let bytes = match &self.data {
+            ColumnData::Numeric(v) => v.len() * std::mem::size_of::<Option<f64>>(),
+            ColumnData::Categorical { values, dict, .. } => {
+                values.len() * std::mem::size_of::<Option<CatId>>()
+                    + dict.iter().map(|s| 2 * s.len() + 48).sum::<usize>()
+            }
+        };
+        bytes as u64
+    }
+
     /// Number of missing cells.
     pub fn n_missing(&self) -> usize {
         match &self.data {

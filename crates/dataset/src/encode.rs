@@ -124,6 +124,19 @@ impl FeatureMatrix {
         self.n_classes
     }
 
+    /// Approximate heap footprint in bytes: cells, missingness mask,
+    /// labels and feature names, plus whichever argsort sidecars have been
+    /// built.
+    pub fn heap_bytes(&self) -> u64 {
+        let cells = self.data.len() * (std::mem::size_of::<f64>() + 1);
+        let labels = self.labels.len() * std::mem::size_of::<usize>()
+            + self.feature_names.iter().map(|n| n.len() + 24).sum::<usize>();
+        let sidecar = |s: &OnceLock<Arc<Vec<Vec<u32>>>>| {
+            s.get().map_or(0, |cols| cols.iter().map(|c| c.len() * 4).sum::<usize>())
+        };
+        (cells + labels + sidecar(&self.sorted) + sidecar(&self.sorted_chain)) as u64
+    }
+
     /// Class index per example.
     pub fn labels(&self) -> &[usize] {
         &self.labels

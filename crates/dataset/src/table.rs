@@ -97,6 +97,11 @@ impl Table {
         &self.columns
     }
 
+    /// Approximate heap footprint of the cells in bytes.
+    pub fn heap_bytes(&self) -> u64 {
+        self.columns.iter().map(Column::heap_bytes).sum()
+    }
+
     /// Appends one row. The row must have one value per column, kind-checked.
     ///
     /// On arity or kind mismatch the table is left unchanged.

@@ -2,15 +2,17 @@
 //!
 //! Every task's inputs (dataset spec, seeds, method, model, budget, …) are
 //! folded into a canonical string; its 128-bit FNV-1a digest is the task's
-//! **content address**. Two layers sit behind one interface:
+//! **content address**. Artifacts live in two places under that address:
 //!
-//! * an in-memory map — deduplicates shared work inside a run (e.g. a base
-//!   dataset used by three mislabel variants) and makes in-process re-runs
-//!   free;
-//! * an optional on-disk layer ([`DiskStore`]) under a run directory —
-//!   persists every artifact with a stable serial form (grid cells, dataset
-//!   contexts, splits, cleaned matrices and trained models), so a *resumed
-//!   or repeated* study skips all finished work, at task granularity.
+//! * in memory, owned by the worker pool ([`crate::pool`]): a finished
+//!   artifact stays in its task-table entry while any live task or
+//!   submission needs it, then retires into the one byte-bounded warm
+//!   LRU ([`Retention`], [`WARM_BUDGET_BYTES`]); `Pool::lookup` tries the
+//!   table, then the LRU, then this module's disk layer;
+//! * on disk ([`DiskStore`]), under an optional run directory: every
+//!   artifact with a stable serial form (grid cells, dataset contexts,
+//!   splits, cleaned matrices and trained models), so a *resumed or
+//!   repeated* study skips all finished work, at task granularity.
 //!
 //! The disk layer is a real store, not a directory of loose files:
 //!
@@ -41,7 +43,7 @@
 
 use cleanml_dataset::codec::{open_frame, seal_frame, FORMAT_VERSION};
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -98,22 +100,9 @@ pub trait DiskCodec: Sized {
     fn encode(&self) -> Option<Vec<u8>>;
     fn decode(bytes: &[u8]) -> Option<Self>;
 
-    /// Whether a disk hit should also be inserted into the unbounded
-    /// in-memory map. Heavy artifacts (tables, matrices, models) return
-    /// `false`: they land in the bounded *resident* layer instead — one
-    /// decoded allocation shared by every demanding handle — rather than
-    /// accumulating in the memo for the engine's lifetime.
-    fn promote_to_memory(&self) -> bool {
-        true
-    }
-
-    /// Rough in-memory footprint of the decoded artifact, charged to the
-    /// `resident_bytes` gauge while a disk-decoded heavy artifact stays
-    /// parked in the resident layer. Charged once per decode — handles
-    /// share the allocation, so shares add nothing.
-    fn approx_bytes(&self) -> u64 {
-        0
-    }
+    /// Rough in-memory footprint of the artifact: what the warm LRU
+    /// charges against [`WARM_BUDGET_BYTES`] while it keeps the artifact.
+    fn approx_bytes(&self) -> u64;
 }
 
 /// Hit/miss counters, split by layer.
@@ -172,9 +161,9 @@ const FLUSH_EVERY: usize = 32;
 /// The persistent, thread-safe artifact layer: one directory of
 /// content-addressed `<key>.art` files plus an `index.v2` sidecar.
 ///
-/// Shared (via `Arc`) between the [`ArtifactCache`] front-end and the
-/// worker pool, which persists artifacts the moment tasks finish so a
-/// killed run loses nothing that completed.
+/// Shared (via `Arc`) with the worker pool, which persists artifacts the
+/// moment tasks finish, so a killed run loses nothing that completed, and
+/// reads them back on a lookup that misses memory.
 ///
 /// The store is also the coordinator side's serve/accept plane for remote
 /// workers: a `Fetch {key}` that misses the in-memory slots is answered
@@ -480,77 +469,100 @@ impl Drop for DiskStore {
     }
 }
 
-/// Default number of *unpinned* warm artifacts [`Retention`] keeps
-/// resident before LRU eviction kicks in.
-pub const DEFAULT_WARM_ENTRIES: usize = 256;
+/// The one in-memory bound on artifacts: the bytes (by
+/// [`DiskCodec::approx_bytes`]) the warm LRU may keep once no live task or
+/// submission holds them. Sized from a cold quick study of outliers and
+/// duplicates (2 splits), whose artifacts left in memory measured 12.3 MB
+/// by that estimate: a study's results (cell batches, singleton cells and
+/// grids, about 150 kB there) stay warm by the thousands, while splits,
+/// cleaned matrices and models age out.
+pub const WARM_BUDGET_BYTES: u64 = 12 << 20;
 
-/// Cross-submission in-memory retention for finished artifacts.
+/// The warm LRU: finished artifacts that no live task or submission holds
+/// any more, kept under a byte budget so the next submission that
+/// demands the same content address gets them back without touching the
+/// disk store or re-running the task body.
 ///
-/// The single-run engine retired an artifact the moment its last consumer
-/// finished — correct when one graph owns the process, wasteful for a
-/// resident engine where the next submission may demand the same content
-/// address seconds later. `Retention` generalizes that policy:
-///
-/// * **pins** — refcounts aggregated over *live submissions*: every active
-///   submission pins the keys it needs to survive until collection (its
-///   sinks). A pinned entry is never evicted, no matter the cap.
-/// * **warm LRU** — retired artifacts (consumers done, nobody retaining)
-///   are parked here instead of dropped. Unpinned entries are bounded by
-///   an entry cap with least-recently-used eviction, so a long-lived
-///   serving process holds a working set, not an unbounded history.
-///
-/// A later submission that dedupes onto an already-retired task recovers
-/// the artifact from here without touching the disk store or re-running
-/// the task body.
-pub struct Retention<T> {
-    pins: HashMap<CacheKey, usize>,
-    warm: HashMap<CacheKey, (T, u64)>,
+/// Nothing a live submission still needs depends on it: such artifacts
+/// stay in their task-table entry until the submission is collected, and
+/// only then retire here. Each entry is charged its
+/// [`DiskCodec::approx_bytes`] once, on insert; the least-recently-used
+/// entries go first when an insert exceeds the budget, and an artifact
+/// larger than the whole budget is not kept. The `cleanml_warm_bytes`
+/// gauge sums the charges of every live LRU in the process.
+pub struct Retention<A> {
+    warm: HashMap<CacheKey, WarmEntry<A>>,
+    /// Last access → key, oldest first.
+    order: BTreeMap<u64, CacheKey>,
     clock: u64,
-    cap: usize,
+    bytes: u64,
+    budget: u64,
 }
 
-impl<T: Clone> Retention<T> {
-    /// Creates a retention set keeping at most `cap` unpinned warm entries.
-    pub fn new(cap: usize) -> Self {
-        Retention { pins: HashMap::new(), warm: HashMap::new(), clock: 0, cap }
+struct WarmEntry<A> {
+    artifact: Arc<A>,
+    bytes: u64,
+    access: u64,
+}
+
+impl<A: DiskCodec> Retention<A> {
+    /// Creates an empty LRU holding at most `budget` bytes.
+    pub fn new(budget: u64) -> Self {
+        Retention { warm: HashMap::new(), order: BTreeMap::new(), clock: 0, bytes: 0, budget }
     }
 
-    /// Registers one live submission's interest in `key`.
-    pub fn pin(&mut self, key: CacheKey) {
-        *self.pins.entry(key).or_insert(0) += 1;
-    }
-
-    /// Releases one submission's interest; the entry becomes evictable
-    /// when the last pin drops.
-    pub fn unpin(&mut self, key: CacheKey) {
-        if let Some(n) = self.pins.get_mut(&key) {
-            *n -= 1;
-            if *n == 0 {
-                self.pins.remove(&key);
-                self.enforce_cap();
+    /// Parks a finished artifact (replacing any entry under `key`), then
+    /// evicts least-recently-used entries until the budget holds.
+    pub fn insert(&mut self, key: CacheKey, artifact: Arc<A>) {
+        self.remove(key);
+        let bytes = artifact.approx_bytes();
+        let t = crate::telemetry::global();
+        if bytes > self.budget {
+            if t.enabled() {
+                t.warm_evictions.inc();
+            }
+            return;
+        }
+        self.clock += 1;
+        self.order.insert(self.clock, key);
+        self.warm.insert(key, WarmEntry { artifact, bytes, access: self.clock });
+        self.charge(bytes as i64);
+        while self.bytes > self.budget {
+            let (_, victim) = self.order.pop_first().expect("bytes > 0 implies an entry");
+            let gone = self.warm.remove(&victim).expect("order and map agree");
+            self.charge(-(gone.bytes as i64));
+            if t.enabled() {
+                t.warm_evictions.inc();
             }
         }
     }
 
-    /// Parks a retired artifact. Unpinned entries beyond the cap evict
-    /// least-recently-used first; pinned entries always fit.
-    pub fn insert(&mut self, key: CacheKey, artifact: T) {
-        self.clock += 1;
-        let clock = self.clock;
-        self.warm.insert(key, (artifact, clock));
-        self.enforce_cap();
-    }
-
     /// Recovers a warm artifact, touching its LRU slot.
-    pub fn get(&mut self, key: CacheKey) -> Option<T> {
+    pub fn get(&mut self, key: CacheKey) -> Option<Arc<A>> {
+        let entry = self.warm.get_mut(&key)?;
+        self.order.remove(&entry.access);
         self.clock += 1;
-        let clock = self.clock;
-        let (artifact, access) = self.warm.get_mut(&key)?;
-        *access = clock;
-        Some(artifact.clone())
+        entry.access = self.clock;
+        self.order.insert(self.clock, key);
+        Some(Arc::clone(&entry.artifact))
     }
 
-    /// Warm entries currently resident (pinned and unpinned).
+    fn remove(&mut self, key: CacheKey) {
+        if let Some(old) = self.warm.remove(&key) {
+            self.order.remove(&old.access);
+            self.charge(-(old.bytes as i64));
+        }
+    }
+
+    /// Keeps the byte total and the process-wide gauge in step. The gauge
+    /// moves whether or not telemetry is enabled: it is a level, and a
+    /// skipped update would leave it off for the rest of the process.
+    fn charge(&mut self, delta: i64) {
+        self.bytes = self.bytes.wrapping_add_signed(delta);
+        crate::telemetry::global().warm_bytes.add(delta);
+    }
+
+    /// Entries currently kept.
     pub fn len(&self) -> usize {
         self.warm.len()
     }
@@ -559,267 +571,60 @@ impl<T: Clone> Retention<T> {
         self.warm.is_empty()
     }
 
-    /// Live pin count for `key` (refcount over live submissions).
-    pub fn pins(&self, key: CacheKey) -> usize {
-        self.pins.get(&key).copied().unwrap_or(0)
-    }
-
-    fn enforce_cap(&mut self) {
-        loop {
-            let unpinned = self.warm.keys().filter(|k| !self.pins.contains_key(k)).count();
-            if unpinned <= self.cap {
-                return;
-            }
-            // oldest unpinned entry; key breaks ties deterministically
-            let victim = self
-                .warm
-                .iter()
-                .filter(|(k, _)| !self.pins.contains_key(*k))
-                .min_by_key(|(k, (_, access))| (*access, k.0, k.1))
-                .map(|(k, _)| *k)
-                .expect("unpinned > cap >= 0 implies a victim");
-            self.warm.remove(&victim);
-            let t = crate::telemetry::global();
-            if t.enabled() {
-                t.warm_evictions.inc();
-            }
-        }
+    /// Bytes currently charged.
+    pub fn bytes(&self) -> u64 {
+        self.bytes
     }
 }
 
-/// The two-layer cache. Both in-memory layers hand out `Arc` handles:
-/// a hit is a refcount bump, never a deep copy of the artifact.
-pub struct ArtifactCache<A> {
-    memory: HashMap<CacheKey, (Arc<A>, u64)>,
-    /// Heavy disk-decoded artifacts (`promote_to_memory() == false`):
-    /// decoded **once per process**, then shared by handle with every
-    /// consumer. Bounded by an entry cap, but an entry with outstanding
-    /// handles (`Arc::strong_count > 1`) is pinned and never evicted —
-    /// its bytes are live anyway, so dropping our handle would only force
-    /// the next consumer to decode a second copy.
-    resident: HashMap<CacheKey, (Arc<A>, u64)>,
-    clock: u64,
-    /// Entry cap for the memory layer; least-recently-used entries evict
-    /// beyond it, so a resident engine's memo cannot grow without bound.
-    memo_cap: usize,
-    resident_cap: usize,
-    disk: Option<Arc<DiskStore>>,
-    pub stats: CacheStats,
-}
-
-/// Default entry cap for [`ArtifactCache`]'s in-memory layer. Generous —
-/// a full five-error-type study retains a few thousand artifacts — but
-/// bounded, so a long-lived serving daemon answering varied query traffic
-/// (every distinct config a distinct content address) evicts
-/// least-recently-used memo entries instead of accreting them forever.
-/// Evicting only ever costs a disk hit or a recompute, never correctness.
-pub const DEFAULT_MEMO_ENTRIES: usize = 65_536;
-
-/// Default entry cap for the resident layer of heavy decoded artifacts.
-/// Entries with outstanding handles are pinned and do not count against
-/// evictability; the cap bounds the *idle* decoded working set.
-pub const DEFAULT_RESIDENT_ENTRIES: usize = 64;
-
-impl<A: DiskCodec> ArtifactCache<A> {
-    /// Creates a cache; `disk` enables an uncapped persistent layer under
-    /// that directory.
-    pub fn new(disk: Option<PathBuf>) -> Self {
-        Self::with_store(disk.map(|d| DiskStore::open(d, None)))
-    }
-
-    /// Creates a cache over an existing (possibly shared, possibly
-    /// size-capped) disk store.
-    pub fn with_store(disk: Option<Arc<DiskStore>>) -> Self {
-        ArtifactCache {
-            memory: HashMap::new(),
-            resident: HashMap::new(),
-            clock: 0,
-            memo_cap: DEFAULT_MEMO_ENTRIES,
-            resident_cap: DEFAULT_RESIDENT_ENTRIES,
-            disk,
-            stats: CacheStats::default(),
-        }
-    }
-
-    /// Overrides the memory-layer entry cap.
-    pub fn with_memo_cap(mut self, cap: usize) -> Self {
-        self.memo_cap = cap.max(1);
-        self.enforce_memo_cap();
-        self
-    }
-
-    /// Overrides the resident-layer entry cap.
-    pub fn with_resident_cap(mut self, cap: usize) -> Self {
-        self.resident_cap = cap.max(1);
-        self
-    }
-
-    fn remember(&mut self, key: CacheKey, artifact: Arc<A>) {
-        self.clock += 1;
-        let clock = self.clock;
-        self.memory.insert(key, (artifact, clock));
-        self.enforce_memo_cap();
-    }
-
-    /// Parks a freshly decoded heavy artifact in the resident layer and
-    /// charges its bytes to the `resident_bytes` gauge. Evicts the
-    /// least-recently-used entry *without outstanding handles* when the
-    /// cap is exceeded; pinned entries (handles alive) always fit.
-    fn park_resident(&mut self, key: CacheKey, artifact: Arc<A>) {
-        self.clock += 1;
-        let clock = self.clock;
-        let t = crate::telemetry::global();
-        if t.enabled() {
-            t.resident_bytes.add(artifact.approx_bytes() as i64);
-        }
-        self.resident.insert(key, (artifact, clock));
-        loop {
-            let evictable =
-                self.resident.iter().filter(|(_, (a, _))| Arc::strong_count(a) == 1).count();
-            if self.resident.len() <= self.resident_cap || evictable == 0 {
-                return;
-            }
-            let victim = self
-                .resident
-                .iter()
-                .filter(|(_, (a, _))| Arc::strong_count(a) == 1)
-                .min_by_key(|(k, (_, access))| (*access, k.0, k.1))
-                .map(|(k, _)| *k)
-                .expect("evictable > 0 implies a victim");
-            if let Some((gone, _)) = self.resident.remove(&victim) {
-                if t.enabled() {
-                    t.resident_bytes.add(-(gone.approx_bytes() as i64));
-                }
-            }
-        }
-    }
-
-    fn enforce_memo_cap(&mut self) {
-        while self.memory.len() > self.memo_cap {
-            let victim = self
-                .memory
-                .iter()
-                .min_by_key(|(k, (_, access))| (*access, k.0, k.1))
-                .map(|(k, _)| *k)
-                .expect("len > cap >= 1 implies a victim");
-            self.memory.remove(&victim);
-            let t = crate::telemetry::global();
-            if t.enabled() {
-                t.memo_evictions.inc();
-            }
-        }
-    }
-
-    /// The persistent layer, if any.
-    pub fn store(&self) -> Option<&Arc<DiskStore>> {
-        self.disk.as_ref()
-    }
-
-    /// Resets only the statistics (kept across runs otherwise).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-        if let Some(store) = &self.disk {
-            store.reset_counters();
-        }
-    }
-
-    /// Number of artifacts resident in memory.
-    pub fn len(&self) -> usize {
-        self.memory.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.memory.is_empty()
-    }
-
-    /// Looks `key` up in memory (memo, then resident), then on disk. Any
-    /// in-memory hit is a handle share — a refcount bump on the one
-    /// decoded allocation, never a deep copy. A disk hit is decoded once:
-    /// promoted into the memo when the artifact opts in (small artifacts —
-    /// see [`DiskCodec::promote_to_memory`]), parked in the bounded
-    /// resident layer otherwise, so sibling consumers behind it share the
-    /// decode instead of each paying it.
-    pub fn get(&mut self, key: CacheKey) -> Option<Arc<A>> {
-        let t = crate::telemetry::global();
-        self.clock += 1;
-        let clock = self.clock;
-        if let Some((a, access)) = self.memory.get_mut(&key) {
-            *access = clock;
-            self.stats.memory_hits += 1;
-            if t.enabled() {
-                t.cache_memory_hits.inc();
-                t.handle_shares.inc();
-            }
-            return Some(Arc::clone(a));
-        }
-        if let Some((a, access)) = self.resident.get_mut(&key) {
-            *access = clock;
-            self.stats.memory_hits += 1;
-            if t.enabled() {
-                t.cache_memory_hits.inc();
-                t.handle_shares.inc();
-                t.deep_copies_avoided.inc();
-            }
-            return Some(Arc::clone(a));
-        }
-        if let Some(store) = self.disk.clone() {
-            if let Some(payload) = store.load(key) {
-                if let Some(a) = A::decode(&payload) {
-                    self.stats.disk_hits += 1;
-                    if t.enabled() {
-                        t.cache_disk_hits.inc();
-                    }
-                    let a = Arc::new(a);
-                    if a.promote_to_memory() {
-                        self.remember(key, Arc::clone(&a));
-                    } else {
-                        self.park_resident(key, Arc::clone(&a));
-                    }
-                    return Some(a);
-                }
-                // corrupt entry: drop it so the re-run overwrites
-                store.remove(key);
-            }
-        }
-        self.stats.misses += 1;
-        if t.enabled() {
-            t.cache_misses.inc();
-        }
-        None
-    }
-
-    /// Stores an artifact under its content address in both layers. Takes
-    /// a handle: the memo keeps a share of the caller's allocation.
-    pub fn put(&mut self, key: CacheKey, artifact: &Arc<A>) {
-        if let (Some(store), Some(payload)) = (&self.disk, artifact.encode()) {
-            if store.store(key, &payload) {
-                self.stats.disk_writes += 1;
-            }
-        }
-        self.remember(key, Arc::clone(artifact));
+impl<A> Drop for Retention<A> {
+    fn drop(&mut self) {
+        crate::telemetry::global().warm_bytes.add(-(self.bytes as i64));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cleanml_dataset::codec::{push_f64, take_f64, Reader, FRAME_HEADER_LEN};
+    use cleanml_dataset::codec::FRAME_HEADER_LEN;
 
-    #[derive(Debug, Clone, PartialEq)]
-    struct Blob(f64);
+    /// An artifact that claims `self.0` bytes of memory.
+    #[derive(Debug, PartialEq)]
+    struct Weight(u64);
 
-    impl DiskCodec for Blob {
+    impl DiskCodec for Weight {
         fn encode(&self) -> Option<Vec<u8>> {
-            let mut out = vec![b'B'];
-            push_f64(&mut out, self.0);
-            Some(out)
+            None
         }
-        fn decode(bytes: &[u8]) -> Option<Self> {
-            let mut r = Reader::new(bytes);
-            cleanml_dataset::codec::expect(&mut r, b'B')?;
-            let x = take_f64(&mut r)?;
-            r.is_empty().then_some(Blob(x))
+        fn decode(_: &[u8]) -> Option<Self> {
+            None
         }
+        fn approx_bytes(&self) -> u64 {
+            self.0
+        }
+    }
+
+    #[test]
+    fn warm_lru_charges_bytes_and_evicts_least_recently_used() {
+        let mut r: Retention<Weight> = Retention::new(100);
+        let (ka, kb, kc) = (CacheKey::of("ra"), CacheKey::of("rb"), CacheKey::of("rc"));
+        r.insert(ka, Arc::new(Weight(40)));
+        r.insert(kb, Arc::new(Weight(40)));
+        assert_eq!(r.bytes(), 80);
+        // touching a makes b the least recently used entry
+        assert!(r.get(ka).is_some());
+        r.insert(kc, Arc::new(Weight(40))); // 120 > 100: evicts b
+        assert_eq!((r.len(), r.bytes()), (2, 80));
+        assert!(r.get(kb).is_none(), "LRU entry evicted");
+        assert_eq!(r.get(ka).as_deref(), Some(&Weight(40)));
+        // re-inserting a key replaces its charge instead of adding to it
+        r.insert(ka, Arc::new(Weight(10)));
+        assert_eq!((r.len(), r.bytes()), (2, 50));
+        // an artifact larger than the whole budget is not kept, and keeps
+        // what is there
+        r.insert(CacheKey::of("huge"), Arc::new(Weight(101)));
+        assert_eq!((r.len(), r.bytes()), (2, 50));
+        assert!(r.get(CacheKey::of("huge")).is_none());
     }
 
     /// On-disk size of a payload of `n` bytes.
@@ -843,128 +648,6 @@ mod tests {
         let k = CacheKey::of("round-trip");
         assert_eq!(CacheKey::parse(&k.to_string()), Some(k));
         assert_eq!(CacheKey::parse("xyz"), None);
-    }
-
-    #[test]
-    fn memory_layer_round_trips() {
-        let mut c: ArtifactCache<Blob> = ArtifactCache::new(None);
-        let k = CacheKey::of("x");
-        assert!(c.get(k).is_none());
-        c.put(k, &Arc::new(Blob(0.5)));
-        assert_eq!(c.get(k).as_deref(), Some(&Blob(0.5)));
-        assert_eq!(c.stats.memory_hits, 1);
-        assert_eq!(c.stats.misses, 1);
-        assert_eq!(c.stats.disk_writes, 0);
-    }
-
-    #[test]
-    fn memory_hits_share_one_allocation() {
-        let mut c: ArtifactCache<Blob> = ArtifactCache::new(None);
-        let k = CacheKey::of("shared");
-        let original = Arc::new(Blob(2.5));
-        c.put(k, &original);
-        let h1 = c.get(k).expect("hit");
-        let h2 = c.get(k).expect("hit");
-        assert!(Arc::ptr_eq(&h1, &h2), "hits must share the allocation");
-        assert!(Arc::ptr_eq(&h1, &original), "memo keeps the caller's allocation");
-    }
-
-    /// A heavy artifact: opts out of memo promotion, so disk hits land in
-    /// the resident layer.
-    #[derive(Debug, Clone, PartialEq)]
-    struct Heavy(f64);
-
-    impl DiskCodec for Heavy {
-        fn encode(&self) -> Option<Vec<u8>> {
-            let mut out = vec![b'H'];
-            push_f64(&mut out, self.0);
-            Some(out)
-        }
-        fn decode(bytes: &[u8]) -> Option<Self> {
-            let mut r = Reader::new(bytes);
-            cleanml_dataset::codec::expect(&mut r, b'H')?;
-            let x = take_f64(&mut r)?;
-            r.is_empty().then_some(Heavy(x))
-        }
-        fn promote_to_memory(&self) -> bool {
-            false
-        }
-        fn approx_bytes(&self) -> u64 {
-            1024
-        }
-    }
-
-    #[test]
-    fn heavy_disk_hit_decodes_once_and_stays_resident() {
-        let dir = temp_dir("resident");
-        let k = CacheKey::of("heavy");
-        {
-            let mut c: ArtifactCache<Heavy> = ArtifactCache::new(Some(dir.clone()));
-            c.put(k, &Arc::new(Heavy(7.0)));
-        }
-        // fresh process image: first get pays the decode, the rest share it
-        let mut c: ArtifactCache<Heavy> = ArtifactCache::new(Some(dir.clone()));
-        let h1 = c.get(k).expect("disk hit");
-        let h2 = c.get(k).expect("resident hit");
-        let h3 = c.get(k).expect("resident hit");
-        assert_eq!(c.stats.disk_hits, 1, "exactly one decode per process");
-        assert_eq!(c.stats.memory_hits, 2);
-        assert!(Arc::ptr_eq(&h1, &h2) && Arc::ptr_eq(&h2, &h3), "one shared allocation");
-        assert_eq!(*h1, Heavy(7.0));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn resident_layer_evicts_idle_entries_but_pins_live_handles() {
-        let dir = temp_dir("resident-cap");
-        let keys: Vec<CacheKey> = (0..4).map(|i| CacheKey::of(&format!("h{i}"))).collect();
-        {
-            let mut c: ArtifactCache<Heavy> = ArtifactCache::new(Some(dir.clone()));
-            for (i, k) in keys.iter().enumerate() {
-                c.put(*k, &Arc::new(Heavy(i as f64)));
-            }
-        }
-        let store = DiskStore::open(dir.clone(), None);
-        let mut c: ArtifactCache<Heavy> =
-            ArtifactCache::with_store(Some(store)).with_resident_cap(2);
-        // hold a live handle to h0: it must survive any eviction
-        let pinned = c.get(keys[0]).expect("disk hit");
-        for k in &keys[1..] {
-            let _ = c.get(*k).expect("disk hit"); // handle dropped at once
-        }
-        assert_eq!(c.stats.disk_hits, 4);
-        // h0 is pinned by `pinned`; idle entries were evicted down to cap
-        let again = c.get(keys[0]).expect("still resident");
-        assert!(Arc::ptr_eq(&pinned, &again), "live handle pins the entry");
-        assert_eq!(c.stats.memory_hits, 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn disk_layer_survives_a_fresh_cache() {
-        let dir = temp_dir("fresh");
-        let k = CacheKey::of("persisted");
-        {
-            let mut c: ArtifactCache<Blob> = ArtifactCache::new(Some(dir.clone()));
-            c.put(k, &Arc::new(Blob(std::f64::consts::PI)));
-            assert_eq!(c.stats.disk_writes, 1);
-        }
-        let mut fresh: ArtifactCache<Blob> = ArtifactCache::new(Some(dir.clone()));
-        assert_eq!(fresh.get(k).as_deref(), Some(&Blob(std::f64::consts::PI)));
-        assert_eq!(fresh.stats.disk_hits, 1);
-        // unframed (e.g. hex-text era) entries are discarded, not trusted
-        let bad_path = dir.join(format!("{}.art", CacheKey::of("bad")));
-        std::fs::write(&bad_path, "cell v1 3fe0000000000000").unwrap();
-        assert!(fresh.get(CacheKey::of("bad")).is_none());
-        assert!(!bad_path.exists(), "invalid frame GC'd on load");
-        // a well-framed payload that fails the *codec* is also discarded
-        let undecodable = dir.join(format!("{}.art", CacheKey::of("undec")));
-        std::fs::write(&undecodable, seal_frame(b"not a blob")).unwrap();
-        let fresh2 = DiskStore::open(dir.clone(), None);
-        let mut c: ArtifactCache<Blob> = ArtifactCache::with_store(Some(fresh2));
-        assert!(c.get(CacheKey::of("undec")).is_none());
-        assert!(!undecodable.exists(), "undecodable payload GC'd");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1102,50 +785,6 @@ mod tests {
         assert!(store.total_bytes() <= 3 * framed(8));
         assert!(store.len() <= 3);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn memo_layer_is_bounded_with_lru_eviction() {
-        let mut c: ArtifactCache<Blob> = ArtifactCache::new(None).with_memo_cap(2);
-        let (ka, kb, kc) = (CacheKey::of("ma"), CacheKey::of("mb"), CacheKey::of("mc"));
-        c.put(ka, &Arc::new(Blob(1.0)));
-        c.put(kb, &Arc::new(Blob(2.0)));
-        assert!(c.get(ka).is_some()); // touch: b becomes LRU
-        c.put(kc, &Arc::new(Blob(3.0)));
-        assert_eq!(c.len(), 2, "memo stays under its entry cap");
-        assert!(c.get(kb).is_none(), "LRU memo entry evicted");
-        assert_eq!(c.get(ka).as_deref(), Some(&Blob(1.0)));
-        assert_eq!(c.get(kc).as_deref(), Some(&Blob(3.0)));
-    }
-
-    #[test]
-    fn retention_pins_survive_eviction_and_lru_orders_the_rest() {
-        let mut r: Retention<Blob> = Retention::new(2);
-        let (ka, kb, kc, kd) =
-            (CacheKey::of("ra"), CacheKey::of("rb"), CacheKey::of("rc"), CacheKey::of("rd"));
-        r.pin(ka);
-        r.pin(ka); // two live submissions
-        r.insert(ka, Blob(1.0));
-        r.insert(kb, Blob(2.0));
-        r.insert(kc, Blob(3.0));
-        // touching b makes c the LRU unpinned entry
-        assert!(r.get(kb).is_some());
-        r.insert(kd, Blob(4.0)); // third unpinned entry: evicts c
-        assert_eq!(r.len(), 3, "a pinned + b, d warm");
-        assert!(r.get(kc).is_none(), "LRU unpinned entry evicted");
-        assert_eq!(r.get(ka), Some(Blob(1.0)), "pinned entry never evicted");
-
-        // one submission releases its pin: still pinned by the other
-        r.unpin(ka);
-        assert_eq!(r.pins(ka), 1);
-        r.insert(CacheKey::of("re"), Blob(5.0)); // evicts an unpinned entry
-        assert_eq!(r.get(ka), Some(Blob(1.0)));
-
-        // last pin drops: `a` becomes evictable like any warm entry, and
-        // the cap is re-enforced immediately (3 unpinned > cap 2)
-        r.unpin(ka);
-        assert_eq!(r.pins(ka), 0);
-        assert_eq!(r.len(), 2);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use cleanml_core::CoreError;
 
-use crate::cache::{ArtifactCache, CacheKey, DiskCodec};
+use crate::cache::CacheKey;
 use crate::event::TaskKind;
 
 /// Index of a task inside its graph.
@@ -113,16 +113,15 @@ impl<A> TaskGraph<A> {
             }
         }
     }
-}
 
-impl<A: DiskCodec> TaskGraph<A> {
-    /// Resolves the graph against the cache, demand-driven from `sinks`:
-    /// a cache hit pre-fills the node and stops the downward traversal, so
-    /// the whole subtree feeding only cached results is pruned. Returns
+    /// Resolves the graph against `lookup` (the pool's
+    /// [`crate::pool::Pool::lookup`]), demand-driven from `sinks`: a hit
+    /// pre-fills the node and stops the downward traversal, so the whole
+    /// subtree feeding only found results is pruned. Returns
     /// `(cache_hits, pruned, to_run)`.
     pub fn resolve(
         &mut self,
-        cache: &mut ArtifactCache<A>,
+        mut lookup: impl FnMut(CacheKey) -> Option<Arc<A>>,
         sinks: &[TaskId],
     ) -> (usize, usize, usize) {
         let n = self.nodes.len();
@@ -133,7 +132,7 @@ impl<A: DiskCodec> TaskGraph<A> {
                 continue;
             }
             demanded[id] = true;
-            if let Some(artifact) = cache.get(self.nodes[id].key) {
+            if let Some(artifact) = lookup(self.nodes[id].key) {
                 self.nodes[id].prefilled = Some(artifact);
                 self.nodes[id].state = NodeState::Cached;
                 continue; // dependencies not demanded
@@ -163,6 +162,8 @@ impl<A: DiskCodec> TaskGraph<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::DiskCodec;
+    use crate::pool::Pool;
 
     #[derive(Debug, Clone, PartialEq)]
     struct V(i64);
@@ -173,6 +174,9 @@ mod tests {
         }
         fn decode(_: &[u8]) -> Option<Self> {
             None
+        }
+        fn approx_bytes(&self) -> u64 {
+            8
         }
     }
 
@@ -188,9 +192,9 @@ mod tests {
 
     #[test]
     fn resolve_prunes_upstream_of_cache_hits() {
-        let mut cache: ArtifactCache<V> = ArtifactCache::new(None);
+        let pool: Pool<V> = Pool::new(1, None);
         let sink_key = CacheKey::of("sink");
-        cache.put(sink_key, &Arc::new(V(42)));
+        pool.remember(sink_key, Arc::new(V(42)));
 
         let mut g: TaskGraph<V> = TaskGraph::new();
         let dep = g.task(TaskKind::Train, "dep", CacheKey::of("dep"), vec![], |_| Ok(V(1)));
@@ -199,7 +203,7 @@ mod tests {
             Ok(V(d[0].0 * 10))
         });
 
-        let (hits, pruned, to_run) = g.resolve(&mut cache, &[sink, other]);
+        let (hits, pruned, to_run) = g.resolve(|k| pool.lookup(k), &[sink, other]);
         assert_eq!(hits, 1);
         assert_eq!(pruned, 0, "dep is still demanded by `other`");
         assert_eq!(to_run, 2);
@@ -209,16 +213,16 @@ mod tests {
 
     #[test]
     fn resolve_prunes_fully_cached_subtrees() {
-        let mut cache: ArtifactCache<V> = ArtifactCache::new(None);
-        cache.put(CacheKey::of("s1"), &Arc::new(V(1)));
-        cache.put(CacheKey::of("s2"), &Arc::new(V(2)));
+        let pool: Pool<V> = Pool::new(1, None);
+        pool.remember(CacheKey::of("s1"), Arc::new(V(1)));
+        pool.remember(CacheKey::of("s2"), Arc::new(V(2)));
 
         let mut g: TaskGraph<V> = TaskGraph::new();
         let dep = g.task(TaskKind::Train, "dep", CacheKey::of("dep"), vec![], |_| Ok(V(0)));
         let s1 = g.task(TaskKind::Evaluate, "s1", CacheKey::of("s1"), vec![dep], |_| Ok(V(1)));
         let s2 = g.task(TaskKind::Evaluate, "s2", CacheKey::of("s2"), vec![dep], |_| Ok(V(2)));
 
-        let (hits, pruned, to_run) = g.resolve(&mut cache, &[s1, s2]);
+        let (hits, pruned, to_run) = g.resolve(|k| pool.lookup(k), &[s1, s2]);
         assert_eq!(hits, 2);
         assert_eq!(pruned, 1, "training is skipped entirely");
         assert_eq!(to_run, 0);

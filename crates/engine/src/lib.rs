@@ -12,18 +12,20 @@
 //!    from the pure task units of [`cleanml_core::tasks`] ([`graph`]);
 //! 2. **schedules** independent tasks across all datasets and error types
 //!    on a work-stealing worker pool ([`pool`]);
-//! 3. **remembers** finished work in a content-addressed artifact cache —
-//!    an in-memory layer that deduplicates shared work inside a run, and an
-//!    optional on-disk layer under a run directory that lets repeated or
-//!    resumed studies skip every finished training task ([`cache`]);
+//! 3. **remembers** finished work by content address: the pool is the one
+//!    in-memory owner — a table entry while a live task or submission
+//!    needs the artifact, then one warm LRU under one byte budget — and an
+//!    optional on-disk store under a run directory lets repeated or
+//!    resumed studies skip every finished training task; one lookup reads
+//!    them in that order ([`pool`], [`cache`]);
 //! 4. **reports** progress (tasks queued / running / done, cache hits) on
 //!    an event channel the `study` binary renders ([`event`]);
 //! 5. **distributes** — with `--listen`, remote `cleanml-worker` processes
 //!    join over TCP, lease ready tasks and ship artifacts back as CMAF
 //!    frames; a worker killed mid-lease costs only its in-flight task
 //!    ([`remote`]);
-//! 6. **serves** — the [`Engine`] is a resident core: the pool, the warm
-//!    memo and the store live as long as the engine, concurrent
+//! 6. **serves** — the [`Engine`] is a resident core: the pool (with its
+//!    warm LRU) and the store live as long as the engine, concurrent
 //!    submissions ([`Engine::submit_study`], [`Engine::submit_query`])
 //!    dedupe into the same in-flight tasks, and the same listener answers
 //!    HTTP clients through a bounded results gateway — `POST /studies`
@@ -61,7 +63,7 @@ pub mod study;
 pub(crate) mod subwork;
 pub mod telemetry;
 
-pub use cache::{ArtifactCache, CacheKey, CacheStats, DiskStore, Retention};
+pub use cache::{CacheKey, CacheStats, DiskStore};
 pub use event::{EngineEvent, EventSink, TaskKind};
 pub use graph::{TaskGraph, TaskId};
 pub use pool::{ClassCosts, CostModel, ExecStats, Pool, RunReport, SubmissionHandle};

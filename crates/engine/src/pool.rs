@@ -2,7 +2,7 @@
 //! concurrent, content-address-deduplicated submissions.
 //!
 //! A [`Pool`] owns its worker threads, its ready frontier and its
-//! retention layer for its whole lifetime, and accepts any number of
+//! warm LRU for its whole lifetime, and accepts any number of
 //! overlapping [`Pool::submit`] calls:
 //!
 //! * every submission's graph is **merged** into one resident task table
@@ -16,11 +16,14 @@
 //!   cancellation are isolated — a task body error fails exactly the
 //!   submissions demanding that task, and a [`SubmissionHandle::cancel`]
 //!   releases its subgraph without disturbing anything shared;
-//! * artifact retirement generalizes from per-run consumer counts to
-//!   cross-submission refcounts: an artifact whose consumers finished and
-//!   whose retaining submissions collected moves into the size-capped warm
-//!   LRU ([`crate::cache::Retention`]) instead of vanishing, ready for the
-//!   next submission that dedupes onto it.
+//! * the pool is the only in-memory owner of artifacts: a finished
+//!   artifact stays in its table entry while any runnable consumer or
+//!   uncollected submission needs it, then moves into the warm LRU
+//!   ([`crate::cache::Retention`], bounded by
+//!   [`crate::cache::WARM_BUDGET_BYTES`]) instead of vanishing.
+//!   [`Pool::lookup`] answers a content address from the table entry,
+//!   then the warm LRU, then the disk store, so graph resolution, merges
+//!   and remote `Fetch`es all read the same memory.
 //!
 //! Local workers keep the work-stealing discipline (LIFO own deque, FIFO
 //! steals) under one scheduler lock; remote lease threads
@@ -38,14 +41,14 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use cleanml_core::CoreError;
 
-use crate::cache::{CacheKey, DiskCodec, DiskStore, Retention, DEFAULT_WARM_ENTRIES};
+use crate::cache::{CacheKey, CacheStats, DiskCodec, DiskStore, Retention, WARM_BUDGET_BYTES};
 use crate::event::{emit, EngineEvent, EventSink, TaskKind};
 use crate::graph::{NodeState, TaskFn, TaskGraph};
 use crate::remote::coordinator::spawn_hub_service;
@@ -364,7 +367,7 @@ pub(crate) struct State<A> {
     pub(crate) tasks: Vec<TaskEntry<A>>,
     pub(crate) by_key: HashMap<CacheKey, Gid>,
     pub(crate) deques: Vec<DequeState>,
-    pub(crate) retention: Retention<Arc<A>>,
+    pub(crate) retention: Retention<A>,
     subs: HashMap<SubId, SubEntry>,
     specs: Vec<SpecEntry>,
     next_sub: SubId,
@@ -386,6 +389,9 @@ pub(crate) struct PoolInner<A> {
     /// Open intra-task subwork batches; idle workers drain them between
     /// frontier checks (multi-worker pools only).
     pub(crate) subwork: Arc<crate::subwork::SubworkShared>,
+    /// Outcomes of [`Pool::lookup`] since the last reset:
+    /// `[memory hits, disk hits, misses]`.
+    lookups: [AtomicUsize; 3],
 }
 
 fn spec_key_of(bytes: &[u8]) -> u64 {
@@ -751,8 +757,6 @@ where
         }
         for gid in retained {
             st.tasks[gid].retain_refs -= 1;
-            let key = st.tasks[gid].key;
-            st.retention.unpin(key);
         }
         for gid in tasks {
             st.tasks[gid].subs.retain(|s| *s != sid);
@@ -782,8 +786,6 @@ where
         }
         for gid in &sub.retained {
             st.tasks[*gid].retain_refs -= 1;
-            let key = st.tasks[*gid].key;
-            st.retention.unpin(key);
         }
         for gid in sub.tasks {
             st.tasks[gid].subs.retain(|s| *s != sid);
@@ -848,9 +850,9 @@ where
         );
     }
 
-    /// Serves a remote `Fetch`: the resident entry's artifact, the warm
-    /// LRU, then (outside the lock, by the caller) the disk store.
-    pub(crate) fn fetch_artifact(&self, key: CacheKey) -> Option<Arc<A>> {
+    /// The memory step of a lookup: the table entry's artifact, else the
+    /// warm LRU (touching its slot). A handle share, never a copy.
+    pub(crate) fn lookup_memory(&self, key: CacheKey) -> Option<Arc<A>> {
         let mut st = self.state.lock().expect("state lock");
         if let Some(&gid) = st.by_key.get(&key) {
             if let Some(a) = &st.tasks[gid].artifact {
@@ -906,7 +908,7 @@ where
                 tasks: Vec::new(),
                 by_key: HashMap::new(),
                 deques: (0..workers).map(|_| DequeState::new()).collect(),
-                retention: Retention::new(DEFAULT_WARM_ENTRIES),
+                retention: Retention::new(WARM_BUDGET_BYTES),
                 subs: HashMap::new(),
                 specs: Vec::new(),
                 next_sub: 0,
@@ -919,6 +921,7 @@ where
             persist,
             n_workers: workers,
             subwork: Arc::new(crate::subwork::SubworkShared::new()),
+            lookups: Default::default(),
         });
         let threads = (0..workers)
             .map(|w| {
@@ -952,6 +955,90 @@ where
     /// The pool's adaptive cost model.
     pub fn costs(&self) -> &CostModel {
         &self.inner.costs
+    }
+
+    /// Finds the artifact under `key`: the live table entry, then the
+    /// warm LRU, then the disk store. A disk hit is decoded once, outside
+    /// the scheduler lock, and parked in the warm LRU, so every later
+    /// consumer shares that one allocation; a payload that fails to
+    /// decode is deleted from the store and counts as a miss.
+    pub fn lookup(&self, key: CacheKey) -> Option<Arc<A>> {
+        let t = crate::telemetry::global();
+        let [memory, disk, miss] = &self.inner.lookups;
+        if let Some(a) = self.inner.lookup_memory(key) {
+            memory.fetch_add(1, Ordering::Relaxed);
+            if t.enabled() {
+                t.cache_memory_hits.inc();
+                t.handle_shares.inc();
+            }
+            return Some(a);
+        }
+        if let Some(store) = &self.inner.persist {
+            if let Some(payload) = store.load(key) {
+                match A::decode(&payload) {
+                    Some(a) => {
+                        let a = Arc::new(a);
+                        self.park(key, Arc::clone(&a));
+                        disk.fetch_add(1, Ordering::Relaxed);
+                        if t.enabled() {
+                            t.cache_disk_hits.inc();
+                        }
+                        return Some(a);
+                    }
+                    None => store.remove(key),
+                }
+            }
+        }
+        miss.fetch_add(1, Ordering::Relaxed);
+        if t.enabled() {
+            t.cache_misses.inc();
+        }
+        None
+    }
+
+    /// Makes `artifact` the answer for `key` without running a task:
+    /// persists it (when it has a serial form) and parks it in the warm
+    /// LRU. Study collection uses it to address each member of a cell
+    /// batch under its singleton `cell/…` key.
+    pub fn remember(&self, key: CacheKey, artifact: Arc<A>) {
+        if let (Some(store), Some(payload)) = (&self.inner.persist, artifact.encode()) {
+            store.store(key, &payload);
+        }
+        self.park(key, artifact);
+    }
+
+    fn park(&self, key: CacheKey, artifact: Arc<A>) {
+        self.inner.state.lock().expect("state lock").retention.insert(key, artifact);
+    }
+
+    /// [`Pool::lookup`] outcomes since the last reset, with the store's
+    /// write and eviction counts (which include every artifact the
+    /// workers persisted).
+    pub fn cache_stats(&self) -> CacheStats {
+        let [memory, disk, miss] = &self.inner.lookups;
+        let store = self.inner.persist.as_deref();
+        CacheStats {
+            memory_hits: memory.load(Ordering::Relaxed),
+            disk_hits: disk.load(Ordering::Relaxed),
+            misses: miss.load(Ordering::Relaxed),
+            disk_writes: store.map_or(0, DiskStore::writes),
+            disk_evictions: store.map_or(0, DiskStore::evictions),
+        }
+    }
+
+    /// Zeroes the lookup counters and the store's write/eviction counts.
+    pub fn reset_cache_stats(&self) {
+        for c in &self.inner.lookups {
+            c.store(0, Ordering::Relaxed);
+        }
+        if let Some(store) = &self.inner.persist {
+            store.reset_counters();
+        }
+    }
+
+    /// Bytes the warm LRU currently holds.
+    pub fn warm_bytes(&self) -> u64 {
+        self.inner.state.lock().expect("state lock").retention.bytes()
     }
 
     /// Starts serving `hub`'s connections for the pool's lifetime:
@@ -1090,7 +1177,6 @@ where
             if retain[idx] {
                 entry.retain_refs += 1;
                 sub.retained.push(gid);
-                st.retention.pin(key);
             }
             if entry.phase == Phase::Waiting && entry.pending == 0 {
                 seeds.push(gid);
@@ -1474,9 +1560,11 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::{ArtifactCache, CacheKey};
+    use crate::cache::CacheKey;
     use crate::graph::TaskId;
 
+    /// A memory-only artifact the warm LRU charges 1/64 of its budget, so
+    /// a graph of a hundred of them overflows it.
     #[derive(Debug, Clone, PartialEq)]
     struct V(i64);
 
@@ -1486,6 +1574,9 @@ mod tests {
         }
         fn decode(_: &[u8]) -> Option<Self> {
             None
+        }
+        fn approx_bytes(&self) -> u64 {
+            WARM_BUDGET_BYTES / 64
         }
     }
 
@@ -1510,9 +1601,7 @@ mod tests {
     #[test]
     fn diamond_executes_in_dependency_order() {
         for workers in [1, 4] {
-            let (mut g, sink) = diamond();
-            let mut cache: ArtifactCache<V> = ArtifactCache::new(None);
-            g.resolve(&mut cache, &[sink]);
+            let (g, sink) = diamond();
             let retain = retain_only(g.len(), &[sink]);
             let (arts, stats) =
                 Pool::new(workers, None).submit(g, retain, None, None).wait().unwrap();
@@ -1527,9 +1616,7 @@ mod tests {
 
     #[test]
     fn unretained_intermediates_are_retired() {
-        let (mut g, sink) = diamond();
-        let mut cache: ArtifactCache<V> = ArtifactCache::new(None);
-        g.resolve(&mut cache, &[sink]);
+        let (g, sink) = diamond();
         let retain = retain_only(g.len(), &[sink]);
         let (arts, _) = Pool::new(2, None).submit(g, retain, None, None).wait().unwrap();
         assert_eq!(arts[sink].as_deref(), Some(V(5)).as_ref());
@@ -1542,12 +1629,12 @@ mod tests {
     #[test]
     fn cached_sink_runs_nothing() {
         let (mut g, sink) = diamond();
-        let mut cache: ArtifactCache<V> = ArtifactCache::new(None);
-        cache.put(CacheKey::of("d"), &Arc::new(V(5)));
-        let (hits, pruned, to_run) = g.resolve(&mut cache, &[sink]);
+        let pool: Pool<V> = Pool::new(4, None);
+        pool.remember(CacheKey::of("d"), Arc::new(V(5)));
+        let (hits, pruned, to_run) = g.resolve(|k| pool.lookup(k), &[sink]);
         assert_eq!((hits, pruned, to_run), (1, 3, 0));
         let retain = retain_only(g.len(), &[sink]);
-        let (arts, stats) = Pool::new(4, None).submit(g, retain, None, None).wait().unwrap();
+        let (arts, stats) = pool.submit(g, retain, None, None).wait().unwrap();
         assert_eq!(arts[sink].as_deref(), Some(V(5)).as_ref());
         assert!(stats.executed.is_empty());
     }
@@ -1559,8 +1646,6 @@ mod tests {
             Err(CoreError::Unsupported("nope".into()))
         });
         let b = g.task(TaskKind::Evaluate, "after", CacheKey::of("after"), vec![a], |_| Ok(V(1)));
-        let mut cache: ArtifactCache<V> = ArtifactCache::new(None);
-        g.resolve(&mut cache, &[b]);
         let retain = retain_only(g.len(), &[b]);
         assert!(Pool::new(2, None).submit(g, retain, None, None).wait().is_err());
     }
@@ -1569,13 +1654,12 @@ mod tests {
     fn task_panic_becomes_error() {
         let mut g: TaskGraph<V> = TaskGraph::new();
         let sink = g.task(TaskKind::Train, "p", CacheKey::of("p"), vec![], |_| panic!("kaboom"));
-        let mut cache: ArtifactCache<V> = ArtifactCache::new(None);
-        g.resolve(&mut cache, &[sink]);
         let retain = retain_only(g.len(), &[sink]);
         let err = Pool::new(2, None).submit(g, retain, None, None).wait().unwrap_err();
         assert!(err.to_string().contains("kaboom"), "{err}");
     }
 
+    /// A persisted artifact the warm LRU charges a quarter of its budget.
     #[derive(Debug, Clone, PartialEq)]
     struct P(i64);
 
@@ -1586,6 +1670,9 @@ mod tests {
         fn decode(bytes: &[u8]) -> Option<Self> {
             let text = std::str::from_utf8(bytes).ok()?;
             text.strip_prefix("p ")?.trim().parse().ok().map(P)
+        }
+        fn approx_bytes(&self) -> u64 {
+            WARM_BUDGET_BYTES / 4
         }
     }
 
@@ -1598,8 +1685,6 @@ mod tests {
         let mut g: TaskGraph<P> = TaskGraph::new();
         let a = g.task(TaskKind::Train, "a", CacheKey::of("a"), vec![], |_| Ok(P(7)));
         let b = g.task(TaskKind::Evaluate, "b", CacheKey::of("b"), vec![a], |d| Ok(P(d[0].0 + 1)));
-        let mut cache: ArtifactCache<P> = ArtifactCache::new(None);
-        g.resolve(&mut cache, &[b]);
         let retain = retain_only(g.len(), &[b]);
         let (arts, _) =
             Pool::new(2, Some(store.clone())).submit(g, retain, None, None).wait().unwrap();
@@ -1629,17 +1714,11 @@ mod tests {
             TaskKind::Clean,
             TaskKind::GenerateDataset,
         ];
-        let ids: Vec<TaskId> = kinds
-            .iter()
-            .enumerate()
-            .map(|(i, &kind)| {
-                g.task(kind, format!("t{i}"), CacheKey::of(&format!("t{i}")), vec![], move |_| {
-                    Ok(V(i as i64))
-                })
-            })
-            .collect();
-        let mut cache: ArtifactCache<V> = ArtifactCache::new(None);
-        g.resolve(&mut cache, &ids);
+        for (i, &kind) in kinds.iter().enumerate() {
+            g.task(kind, format!("t{i}"), CacheKey::of(&format!("t{i}")), vec![], move |_| {
+                Ok(V(i as i64))
+            });
+        }
         let retain = vec![true; g.len()];
         let (tx, rx) = std::sync::mpsc::channel();
         let (arts, _) = Pool::new(1, None).submit(g, retain, Some(tx), None).wait().unwrap();
@@ -1696,9 +1775,7 @@ mod tests {
             g.task(TaskKind::Evaluate, "late-eval", CacheKey::of("late-eval"), vec![gate], |_| {
                 Ok(V(2))
             });
-        let mut cache: ArtifactCache<V> = ArtifactCache::new(None);
         let sinks = [late_split, late_eval];
-        g.resolve(&mut cache, &sinks);
         let retain = retain_only(g.len(), &sinks);
         let (tx, rx) = std::sync::mpsc::channel();
         let (arts, _) = Pool::new(1, None).submit(g, retain, Some(tx), None).wait().unwrap();
@@ -1784,8 +1861,6 @@ mod tests {
         let sum = g.task(TaskKind::Reduce, "sum", CacheKey::of("sum"), leaves.clone(), |d| {
             Ok(V(d.iter().map(|v| v.0).sum()))
         });
-        let mut cache: ArtifactCache<V> = ArtifactCache::new(None);
-        g.resolve(&mut cache, &[sum]);
         let retain = retain_only(g.len(), &[sum]);
         let (arts, _) = Pool::new(8, None).submit(g, retain, None, None).wait().unwrap();
         assert_eq!(arts[sum].as_deref(), Some(V(4950)).as_ref());
@@ -1825,12 +1900,8 @@ mod tests {
         // Two submissions of the *same* graph, submitted back to back so
         // the second merges while the first is in flight: the leaves must
         // execute exactly once in total.
-        let (mut g1, s1) = counting_graph("share", 12);
-        let (mut g2, s2) = counting_graph("share", 12);
-        let mut cache: ArtifactCache<V> = ArtifactCache::new(None);
-        g1.resolve(&mut cache, &[s1]);
-        let mut cache2: ArtifactCache<V> = ArtifactCache::new(None);
-        g2.resolve(&mut cache2, &[s2]);
+        let (g1, s1) = counting_graph("share", 12);
+        let (g2, s2) = counting_graph("share", 12);
         let h1 = pool.submit(g1, retain_only(13, &[s1]), None, None);
         let h2 = pool.submit(g2, retain_only(13, &[s2]), None, None);
         let (a1, st1) = h1.wait().expect("first submission");
@@ -1850,12 +1921,8 @@ mod tests {
     #[test]
     fn cancel_releases_a_subgraph_without_disturbing_the_other() {
         let pool: Pool<V> = Pool::new(2, None);
-        let (mut g1, s1) = counting_graph("keep", 16);
-        let (mut g2, s2) = counting_graph("drop", 16);
-        let mut c1: ArtifactCache<V> = ArtifactCache::new(None);
-        g1.resolve(&mut c1, &[s1]);
-        let mut c2: ArtifactCache<V> = ArtifactCache::new(None);
-        g2.resolve(&mut c2, &[s2]);
+        let (g1, s1) = counting_graph("keep", 16);
+        let (g2, s2) = counting_graph("drop", 16);
         let h1 = pool.submit(g1, retain_only(17, &[s1]), None, None);
         let h2 = pool.submit(g2, retain_only(17, &[s2]), None, None);
         h2.cancel();
@@ -1877,8 +1944,6 @@ mod tests {
             g1.task(TaskKind::Evaluate, "warm-a", CacheKey::of("warm-a"), vec![leaf1], |d| {
                 Ok(V(d[0].0 + 1))
             });
-        let mut c: ArtifactCache<V> = ArtifactCache::new(None);
-        g1.resolve(&mut c, &[sink1]);
         let (a1, st1) = pool.submit(g1, retain_only(2, &[sink1]), None, None).wait().unwrap();
         assert_eq!(a1[sink1].as_deref(), Some(V(8)).as_ref());
         assert_eq!(st1.executed.iter().map(|(_, n)| n).sum::<usize>(), 2);
@@ -1893,8 +1958,6 @@ mod tests {
             g2.task(TaskKind::Evaluate, "warm-b", CacheKey::of("warm-b"), vec![leaf2], |d| {
                 Ok(V(d[0].0 * 10))
             });
-        let mut c2: ArtifactCache<V> = ArtifactCache::new(None);
-        g2.resolve(&mut c2, &[sink2]);
         let (a2, st2) = pool.submit(g2, retain_only(2, &[sink2]), None, None).wait().unwrap();
         assert_eq!(a2[sink2].as_deref(), Some(V(70)).as_ref());
         let trains =
@@ -1918,19 +1981,15 @@ mod tests {
         let s1 = g1.task(TaskKind::Evaluate, "evict-a", CacheKey::of("evict-a"), vec![l1], |d| {
             Ok(V(d[0].0 + 1))
         });
-        let mut c1: ArtifactCache<V> = ArtifactCache::new(None);
-        g1.resolve(&mut c1, &[s1]);
         let h1 = pool.submit(g1, retain_only(2, &[s1]), None, None);
         while !h1.done() {
             std::thread::sleep(Duration::from_millis(5));
         }
         // h1 deliberately NOT collected yet: S1 stays live in the table.
 
-        // Flood the warm LRU far past its cap so "evict-leaf" is evicted.
-        let flood = crate::cache::DEFAULT_WARM_ENTRIES + 50;
-        let (mut gf, sf) = counting_graph("flood", flood as i64);
-        let mut cf: ArtifactCache<V> = ArtifactCache::new(None);
-        gf.resolve(&mut cf, &[sf]);
+        // Flood the warm LRU far past its budget so "evict-leaf" is evicted.
+        let flood = 64 + 50;
+        let (gf, sf) = counting_graph("flood", flood as i64);
         pool.submit(gf, retain_only(flood + 1, &[sf]), None, None).wait().expect("flood");
 
         // S2 re-demands the leaf under a new sink: re-armed, re-executed.
@@ -1940,8 +1999,6 @@ mod tests {
         let s2 = g2.task(TaskKind::Evaluate, "evict-b", CacheKey::of("evict-b"), vec![l2], |d| {
             Ok(V(d[0].0 * 10))
         });
-        let mut c2: ArtifactCache<V> = ArtifactCache::new(None);
-        g2.resolve(&mut c2, &[s2]);
         let (a2, st2) = pool.submit(g2, retain_only(2, &[s2]), None, None).wait().expect("S2");
         assert_eq!(a2[s2].as_deref(), Some(V(50)).as_ref());
         let trains =
@@ -1981,8 +2038,6 @@ mod tests {
                 )
             })
             .collect();
-        let mut cache: ArtifactCache<V> = ArtifactCache::new(None);
-        g.resolve(&mut cache, &consumers);
         let (arts, _) =
             pool.submit(g, retain_only(10, &consumers), None, None).wait().expect("run");
         for &c in &consumers {
@@ -2019,6 +2074,9 @@ mod tests {
             fn decode(_: &[u8]) -> Option<Self> {
                 None
             }
+            fn approx_bytes(&self) -> u64 {
+                self.0.heap_bytes()
+            }
         }
 
         let pool: Pool<M> = Pool::new(2, None);
@@ -2049,8 +2107,6 @@ mod tests {
                 )
             })
             .collect();
-        let mut cache: ArtifactCache<M> = ArtifactCache::new(None);
-        g.resolve(&mut cache, &trains);
         pool.submit(g, retain_only(5, &trains), None, None).wait().expect("run");
         drop(tx);
         let ptrs: Vec<usize> = rx.into_iter().collect();
@@ -2072,17 +2128,126 @@ mod tests {
             g1.task(TaskKind::Evaluate, "after", CacheKey::of("fail-after"), vec![bad], |_| {
                 Ok(V(1))
             });
-        let mut c1: ArtifactCache<V> = ArtifactCache::new(None);
-        g1.resolve(&mut c1, &[s1]);
 
-        let (mut g2, s2) = counting_graph("healthy", 8);
-        let mut c2: ArtifactCache<V> = ArtifactCache::new(None);
-        g2.resolve(&mut c2, &[s2]);
+        let (g2, s2) = counting_graph("healthy", 8);
 
         let h1 = pool.submit(g1, retain_only(2, &[s1]), None, None);
         let h2 = pool.submit(g2, retain_only(9, &[s2]), None, None);
         assert!(h1.wait().is_err(), "failing submission must error");
         let (a2, _) = h2.wait().expect("independent submission must survive a failure");
         assert_eq!(a2[s2].as_deref(), Some(V(28)).as_ref());
+    }
+
+    // -- the lookup: table entry, warm LRU, store ---------------------------
+
+    #[test]
+    fn lookup_counts_memory_hits_and_misses() {
+        let pool: Pool<P> = Pool::new(1, None);
+        let k = CacheKey::of("x");
+        assert!(pool.lookup(k).is_none());
+        pool.remember(k, Arc::new(P(5)));
+        assert_eq!(pool.lookup(k).as_deref(), Some(&P(5)));
+        let stats = pool.cache_stats();
+        assert_eq!((stats.memory_hits, stats.disk_hits, stats.misses), (1, 0, 1));
+        assert_eq!(stats.disk_writes, 0, "no store configured");
+    }
+
+    #[test]
+    fn memory_hits_share_one_allocation() {
+        let pool: Pool<V> = Pool::new(1, None);
+        let k = CacheKey::of("shared");
+        let original = Arc::new(V(2));
+        pool.remember(k, Arc::clone(&original));
+        let h1 = pool.lookup(k).expect("hit");
+        let h2 = pool.lookup(k).expect("hit");
+        assert!(Arc::ptr_eq(&h1, &h2), "hits must share the allocation");
+        assert!(Arc::ptr_eq(&h1, &original), "the LRU keeps the caller's allocation");
+    }
+
+    #[test]
+    fn disk_hit_decodes_once_and_stays_warm() {
+        let dir = std::env::temp_dir().join(format!("cleanml-pool-disk-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let k = CacheKey::of("persisted");
+        {
+            let pool: Pool<P> = Pool::new(1, Some(DiskStore::open(dir.clone(), None)));
+            pool.remember(k, Arc::new(P(7)));
+            assert_eq!(pool.cache_stats().disk_writes, 1);
+        }
+        // A fresh pool over the same directory: the first lookup decodes,
+        // every later one shares that allocation.
+        let pool: Pool<P> = Pool::new(1, Some(DiskStore::open(dir.clone(), None)));
+        let h1 = pool.lookup(k).expect("disk hit");
+        let h2 = pool.lookup(k).expect("warm hit");
+        let h3 = pool.lookup(k).expect("warm hit");
+        let stats = pool.cache_stats();
+        assert_eq!((stats.disk_hits, stats.memory_hits), (1, 2), "exactly one decode");
+        assert!(Arc::ptr_eq(&h1, &h2) && Arc::ptr_eq(&h2, &h3), "one shared allocation");
+        assert_eq!(*h1, P(7));
+
+        // An unframed entry and a framed one its codec rejects are misses,
+        // deleted from the store so the task's re-run overwrites them.
+        let bad = dir.join(format!("{}.art", CacheKey::of("bad")));
+        std::fs::write(&bad, "cell v1 3fe0000000000000").unwrap();
+        let undecodable = dir.join(format!("{}.art", CacheKey::of("undec")));
+        std::fs::write(&undecodable, cleanml_dataset::codec::seal_frame(b"not a p")).unwrap();
+        let pool: Pool<P> = Pool::new(1, Some(DiskStore::open(dir.clone(), None)));
+        assert!(pool.lookup(CacheKey::of("bad")).is_none());
+        assert!(!bad.exists(), "invalid frame GC'd on load");
+        assert!(pool.lookup(CacheKey::of("undec")).is_none());
+        assert!(!undecodable.exists(), "undecodable payload GC'd");
+        assert_eq!(pool.cache_stats().misses, 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn warm_lru_is_bounded_by_bytes_with_lru_eviction() {
+        // P weighs a quarter of the budget: four fit, a fifth evicts one.
+        let pool: Pool<P> = Pool::new(1, None);
+        let keys: Vec<CacheKey> = (0..5).map(|i| CacheKey::of(&format!("m{i}"))).collect();
+        for (i, &k) in keys[..4].iter().enumerate() {
+            pool.remember(k, Arc::new(P(i as i64)));
+        }
+        assert_eq!(pool.warm_bytes(), WARM_BUDGET_BYTES);
+        assert!(pool.lookup(keys[0]).is_some()); // touch: m1 becomes the LRU entry
+        pool.remember(keys[4], Arc::new(P(4)));
+        assert_eq!(pool.warm_bytes(), WARM_BUDGET_BYTES, "the LRU stays within its budget");
+        assert!(pool.lookup(keys[1]).is_none(), "LRU entry evicted");
+        for k in [keys[0], keys[2], keys[3], keys[4]] {
+            assert!(pool.lookup(k).is_some(), "recently used entries survive");
+        }
+    }
+
+    #[test]
+    fn warm_bytes_stay_in_budget_and_never_cost_a_live_submission_its_artifacts() {
+        let t = crate::telemetry::global();
+        let pool: Pool<V> = Pool::new(2, None);
+
+        // After a submission is collected, everything it produced is warm
+        // and charged: four leaves and the sink.
+        let (g, sum) = counting_graph("gauge", 4);
+        pool.submit(g, retain_only(5, &[sum]), None, None).wait().expect("study");
+        assert_eq!(pool.warm_bytes(), 5 * V(0).approx_bytes());
+        assert!(t.warm_bytes.get() >= pool.warm_bytes() as i64, "the gauge reads the charge");
+
+        // A finished but uncollected submission keeps its retained sink in
+        // its table entry; its leaves retired into the LRU.
+        let (g1, s1) = counting_graph("live", 2);
+        let h1 = pool.submit(g1, retain_only(3, &[s1]), None, None);
+        while !h1.done() {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        // Flood the LRU with three times the artifacts its budget holds.
+        let (gf, sf) = counting_graph("flood-bytes", 200);
+        pool.submit(gf, retain_only(201, &[sf]), None, None).wait().expect("flood");
+        assert!(pool.warm_bytes() <= WARM_BUDGET_BYTES);
+        assert!(pool.lookup(CacheKey::of("live-leaf0")).is_none(), "retired leaf aged out");
+        assert_eq!(
+            pool.lookup(CacheKey::of("live-sum")).as_deref(),
+            Some(&V(1)),
+            "the live submission's retained artifact survives any flood"
+        );
+        let (a1, _) = h1.wait().expect("the live submission collects");
+        assert_eq!(a1[s1].as_deref(), Some(V(1)).as_ref());
     }
 }

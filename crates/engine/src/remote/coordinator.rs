@@ -32,7 +32,7 @@
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -50,6 +50,10 @@ use crate::telemetry;
 const POLL: Duration = Duration::from_millis(20);
 /// Budget for a connected peer to send its first (classifying) message.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
+/// Most connections the hub serves at once (workers and HTTP clients
+/// together), one thread each. A connection accepted over the cap is
+/// closed at once, unanswered, and counted in `cleanml_hub_busy_total`.
+pub const MAX_HUB_CONNECTIONS: usize = 64;
 
 /// Default lease deadline: how long a worker may go silent (no `Done`,
 /// `Fetch` or `Heartbeat`) before its task is re-queued. Workers heartbeat
@@ -116,7 +120,8 @@ impl Drop for RemoteHub {
 pub type HttpGateway = Arc<dyn http::GatewayBackend>;
 
 /// Spawns the hub service: accept-queue draining plus per-connection
-/// classification, for as long as the pool lives.
+/// classification, for as long as the pool lives, on at most
+/// [`MAX_HUB_CONNECTIONS`] connection threads.
 pub(crate) fn spawn_hub_service<A>(
     inner: Arc<PoolInner<A>>,
     hub: Arc<RemoteHub>,
@@ -126,18 +131,38 @@ where
     A: Clone + Send + Sync + DiskCodec + 'static,
 {
     std::thread::spawn(move || {
+        let live = Arc::new(AtomicUsize::new(0));
         while !inner.shutdown.load(Ordering::Acquire) {
             match hub.try_take() {
+                Some(stream) if live.load(Ordering::Acquire) >= MAX_HUB_CONNECTIONS => {
+                    drop(stream);
+                    telemetry::global().hub_busy.inc();
+                }
                 Some(stream) => {
+                    live.fetch_add(1, Ordering::AcqRel);
+                    let slot = ConnectionSlot(Arc::clone(&live));
                     let inner = Arc::clone(&inner);
                     let hub = Arc::clone(&hub);
                     let gateway = gateway.clone();
-                    std::thread::spawn(move || classify(&inner, &hub, stream, gateway));
+                    std::thread::spawn(move || {
+                        let _slot = slot;
+                        classify(&inner, &hub, stream, gateway)
+                    });
                 }
                 None => std::thread::sleep(POLL),
             }
         }
     })
+}
+
+/// One live connection thread's share of the hub's cap, given back when
+/// the thread ends however it ends.
+struct ConnectionSlot(Arc<AtomicUsize>);
+
+impl Drop for ConnectionSlot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::AcqRel);
+    }
 }
 
 /// Reads a connection's first bytes and routes it: a CMAF `Hello` to the
@@ -225,16 +250,17 @@ fn classify<A>(
     } // anything else is a protocol violation: drop the connection
 }
 
-/// Serves one `Fetch`: the resident entry's artifact or the warm LRU
-/// (Arc-cheap clones, encoded outside the scheduler lock), then the disk
-/// store's framed payload. Artifacts without a wire form — generated
+/// Serves one `Fetch`: the memory step of the pool's lookup (the table
+/// entry, then the warm LRU; a handle share, encoded outside the
+/// scheduler lock), then the disk store's payload as stored, without a
+/// decode. Artifacts without a wire form — generated
 /// datasets — answer `NoArtifact`, and the worker recomputes them locally
 /// (they are cheap and deterministic by construction).
 fn serve_fetch<A>(inner: &PoolInner<A>, key: CacheKey) -> Message
 where
     A: Clone + Send + Sync + DiskCodec + 'static,
 {
-    if let Some(payload) = inner.fetch_artifact(key).and_then(|a| a.encode()) {
+    if let Some(payload) = inner.lookup_memory(key).and_then(|a| a.encode()) {
         return Message::Artifact { key, payload };
     }
     if let Some(store) = &inner.persist {

@@ -39,7 +39,7 @@ use cleanml_dataset::codec as dcodec;
 use cleanml_dataset::codec::Reader;
 use cleanml_dataset::{Encoder, FeatureMatrix};
 
-use crate::cache::{ArtifactCache, CacheKey, CacheStats, DiskCodec, DiskStore};
+use crate::cache::{CacheKey, CacheStats, DiskCodec, DiskStore};
 use crate::event::{emit, EngineEvent, EventSink, TaskKind};
 use crate::graph::{NodeState, TaskGraph, TaskId};
 use crate::pool::{Pool, RunReport, SubId, SubmissionHandle};
@@ -51,8 +51,8 @@ use crate::telemetry;
 /// `(dataset, split, cleaning method)` group, evaluated in model order by a
 /// single task instead of a swarm of sub-millisecond singletons. Each member
 /// keeps the content address its singleton `cell/…` task would have had, so
-/// the submission can fan the results back into the cache and query-granular
-/// [`CellQuery`] semantics are unchanged.
+/// the submission can fan the results out to the pool and the store, and
+/// query-granular [`CellQuery`] semantics are unchanged.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellBatch {
     pub members: Vec<(CacheKey, CellEval)>,
@@ -305,11 +305,31 @@ impl DiskCodec for Artifact {
         r.is_empty().then_some(artifact)
     }
 
-    /// Only the small artifacts accumulate in the unbounded in-memory map;
-    /// splits, cleaned matrices and trained models are prefilled into their
-    /// demanding nodes and retired after their last consumer instead.
-    fn promote_to_memory(&self) -> bool {
-        matches!(self, Artifact::Cell(_) | Artifact::Cells(_) | Artifact::Context(_))
+    /// Tables, matrices and models by their heap size, results by their
+    /// cell count: a split, cleaned matrix or forest weighs up to
+    /// megabytes, a cell batch or grid a few kilobytes.
+    fn approx_bytes(&self) -> u64 {
+        const CELL: u64 = std::mem::size_of::<CellEval>() as u64;
+        match self {
+            Artifact::Dataset(d) => d.dirty.heap_bytes() + d.clean_cells.heap_bytes(),
+            Artifact::Context(c) => c.classes.iter().map(|s| s.len() as u64 + 24).sum(),
+            Artifact::Split(s) => {
+                s.train0.heap_bytes()
+                    + s.test0.heap_bytes()
+                    + s.dirty_train.heap_bytes()
+                    + s.dirty_matrix.heap_bytes()
+            }
+            Artifact::Clean(c) => {
+                c.clean_train_m.heap_bytes()
+                    + c.clean_test_m.heap_bytes()
+                    + c.dirty_test_m.as_ref().map_or(0, FeatureMatrix::heap_bytes)
+                    + c.clean_test_for_dirty.heap_bytes()
+            }
+            Artifact::Trained(t) => t.model.heap_bytes(),
+            Artifact::Cell(_) => CELL,
+            Artifact::Cells(b) => b.members.len() as u64 * (CELL + 16),
+            Artifact::Grid(g) => (g.n_splits * g.methods.len() * g.models.len()) as u64 * CELL,
+        }
     }
 }
 
@@ -362,15 +382,16 @@ impl EngineConfig {
     }
 }
 
-/// The resident study-execution engine: a long-lived worker pool, a warm
-/// in-memory memo and the persistent artifact store, owned for the
-/// engine's whole lifetime and shared by every submission.
+/// The resident study-execution engine: a long-lived worker pool (which
+/// owns every in-memory artifact, see [`Pool::lookup`]) and the
+/// persistent artifact store, kept for the engine's whole lifetime and
+/// shared by every submission.
 ///
 /// One-shot use is unchanged — [`Engine::run_study`] builds, resolves,
 /// executes and collects. But the engine also accepts many *concurrent*
 /// submissions ([`Engine::submit_study`], [`Engine::submit_query`]):
 /// overlapping submissions dedupe into the same in-flight tasks by
-/// content address, a repeated submission answers from the warm memo
+/// content address, a repeated submission answers from the pool's memory
 /// without executing anything, and with `listen` configured the same
 /// listener serves lease-based remote workers *and* the HTTP results
 /// gateway (see `cleanml-serve`).
@@ -382,7 +403,6 @@ pub struct Engine {
 /// [`Weak`] to it, so a dropped engine refuses new clients instead of
 /// leaking).
 pub(crate) struct EngineInner {
-    cache: Mutex<ArtifactCache<Artifact>>,
     store: Option<Arc<DiskStore>>,
     hub: Option<Arc<RemoteHub>>,
     pool: Pool<Artifact>,
@@ -412,7 +432,6 @@ impl Engine {
                 pool.serve_hub(Arc::clone(hub), Some(gateway));
             }
             EngineInner {
-                cache: Mutex::new(ArtifactCache::with_store(store.clone())),
                 store: store.clone(),
                 hub: hub.clone(),
                 pool,
@@ -445,16 +464,11 @@ impl Engine {
         self.inner.hub.as_ref().map(|h| h.local_addr())
     }
 
-    /// Cache counters since the last reset. Disk writes and evictions
-    /// come from the shared store, which also counts the artifacts the
-    /// worker pool persisted mid-run.
+    /// Cache counters since the last reset: the pool's lookup outcomes
+    /// plus the store's writes (every artifact the workers persisted) and
+    /// evictions.
     pub fn cache_stats(&self) -> CacheStats {
-        let mut stats = self.inner.cache.lock().expect("cache lock").stats;
-        if let Some(store) = &self.inner.store {
-            stats.disk_writes = store.writes();
-            stats.disk_evictions = store.evictions();
-        }
-        stats
+        self.inner.pool.cache_stats()
     }
 
     /// The pool's observed per-kind task costs: `(kind, samples,
@@ -487,7 +501,7 @@ impl Engine {
         error_types: &[ErrorType],
         cfg: &ExperimentConfig,
     ) -> Result<(CleanMlDb, RunReport)> {
-        self.inner.cache.lock().expect("cache lock").reset_stats();
+        self.inner.pool.reset_cache_stats();
         self.submit_study(error_types, cfg).wait()
     }
 
@@ -516,7 +530,7 @@ impl Engine {
     /// Submits a query-granular request — one `(dataset, error type,
     /// cleaning method, model)` cell instead of a whole study. Cell tasks
     /// share content addresses with the corresponding full-study tasks,
-    /// so a warm engine answers from the memo.
+    /// so a warm engine answers from memory.
     pub fn submit_query(
         &self,
         query: &CellQuery,
@@ -565,51 +579,30 @@ impl EngineInner {
         events: Option<EventSink>,
         alpha: f64,
     ) -> StudySubmission {
-        let (cache_hits, pruned, to_run, resolve_stats) = {
-            let mut cache = self.cache.lock().expect("cache lock");
-            let before = cache.stats;
-            let (hits, pruned, to_run) = graph.resolve(&mut cache, &grids);
-            let after = cache.stats;
-            let delta = CacheStats {
-                memory_hits: after.memory_hits - before.memory_hits,
-                disk_hits: after.disk_hits - before.disk_hits,
-                misses: after.misses - before.misses,
-                disk_writes: 0,
-                disk_evictions: 0,
-            };
-            (hits, pruned, to_run, delta)
-        };
+        let (cache_hits, pruned, to_run) = graph.resolve(|k| self.pool.lookup(k), &grids);
         let total = graph.len();
         emit(&events, EngineEvent::GraphReady { total, cache_hits, pruned, to_run });
 
-        // Snapshot addressing info before the graph is consumed.
-        let index: Vec<(CacheKey, TaskKind, NodeState)> =
-            graph.nodes.iter().map(|n| (n.key, n.kind, n.state)).collect();
+        // Snapshot node states before the graph is consumed.
+        let states: Vec<NodeState> = graph.nodes.iter().map(|n| n.state).collect();
+        // Collection reads the grids and the cell batches; everything else
+        // retires into the warm LRU as soon as its consumers finish.
         let retain: Vec<bool> = graph
             .nodes
             .iter()
-            .map(|n| {
-                matches!(
-                    n.kind,
-                    TaskKind::GenerateDataset
-                        | TaskKind::Context
-                        | TaskKind::Evaluate
-                        | TaskKind::Reduce
-                )
-            })
+            .map(|n| matches!(n.kind, TaskKind::Evaluate | TaskKind::Reduce))
             .collect();
 
         let handle = self.pool.submit(graph, retain, events, spec);
         StudySubmission {
             inner: Arc::clone(self),
             handle,
-            index,
+            states,
             grids,
             cache_hits,
             pruned,
             total,
             alpha,
-            resolve_stats,
         }
     }
 }
@@ -769,7 +762,7 @@ impl GatewayBackend for EngineGateway {
             Some(_) => t.submissions_cell.inc(),
         }
         // A submission with nothing to run was answered entirely from the
-        // warm memo/store.
+        // pool's memory or the store.
         if submission.progress().1 == 0 {
             t.warm_answers.inc();
         }
@@ -846,13 +839,12 @@ impl GatewayBackend for EngineGateway {
 pub struct StudySubmission {
     inner: Arc<EngineInner>,
     handle: SubmissionHandle<Artifact>,
-    index: Vec<(CacheKey, TaskKind, NodeState)>,
+    states: Vec<NodeState>,
     grids: Vec<TaskId>,
     cache_hits: usize,
     pruned: usize,
     total: usize,
     alpha: f64,
-    resolve_stats: CacheStats,
 }
 
 impl StudySubmission {
@@ -884,36 +876,22 @@ impl StudySubmission {
         self.total
     }
 
-    /// This submission's resolve-time cache counters (memory/disk hits
-    /// and misses attributable to it alone).
-    pub fn resolve_stats(&self) -> CacheStats {
-        self.resolve_stats
-    }
-
     /// Blocks until every task of the submission has finished, then
     /// assembles and BY-corrects the relational database.
     pub fn wait(self) -> Result<(CleanMlDb, RunReport)> {
-        let StudySubmission {
-            inner, handle, index, grids, cache_hits, pruned, total, alpha, ..
-        } = self;
+        let StudySubmission { inner, handle, states, grids, cache_hits, pruned, total, alpha } =
+            self;
         let workers = inner.pool.workers();
         let (artifacts, stats) = handle.wait()?;
 
-        // Content-address every freshly produced, retained artifact. Cell
-        // batches additionally fan their members out under the singleton
-        // `cell/…` addresses, keeping query-granular warm hits intact.
-        {
-            let mut cache = inner.cache.lock().expect("cache lock");
-            for (id, artifact) in artifacts.iter().enumerate() {
-                if index[id].2 == NodeState::Run {
-                    if let Some(a) = artifact {
-                        cache.put(index[id].0, a);
-                        if let Artifact::Cells(batch) = &**a {
-                            for &(key, cell) in &batch.members {
-                                cache.put(key, &Arc::new(Artifact::Cell(cell)));
-                            }
-                        }
-                    }
+        // Freshly computed cell batches fan their members out under the
+        // singleton `cell/…` addresses, so a later cell query finds them.
+        for (id, artifact) in artifacts.iter().enumerate() {
+            if let (NodeState::Run, Some(Artifact::Cells(batch))) =
+                (states[id], artifact.as_deref())
+            {
+                for &(key, cell) in &batch.members {
+                    inner.pool.remember(key, Arc::new(Artifact::Cell(cell)));
                 }
             }
         }
@@ -1003,7 +981,7 @@ pub struct CellQuery {
 /// The cell keeps the *full-study* method and model indices in every seed
 /// and content address, so its `Split`/`Clean`/`Train`/`Evaluate` tasks
 /// are byte-for-byte the same tasks a whole study of this configuration
-/// would run — a warm engine answers a cell query from the memo, and a
+/// would run — a warm engine answers a cell query from memory, and a
 /// cold cell query pre-warms the study.
 pub fn build_query_graph(
     q: &CellQuery,
@@ -1266,8 +1244,8 @@ fn build_grid_tasks_scoped(
                 let cell_cname = format!("cell/{}|{tclean_cname}", dirty_ids[pos_k].1);
                 if subset {
                     // Query-granular grids keep singleton Evaluate tasks at
-                    // the same content addresses as always, so a warm memo
-                    // (fanned out from a full study's batches) answers them.
+                    // the same content addresses as always, so the singleton
+                    // cells fanned out from a full study's batches answer them.
                     let cell_id = g.task(
                         TaskKind::Evaluate,
                         format!("cell/{}/{}/s{s}/m{mi}/{}", plan.name, et.name(), kind.name()),
@@ -1292,7 +1270,7 @@ fn build_grid_tasks_scoped(
                 // One fused Evaluate per (dataset, split, cleaning method):
                 // its content address derives from the member set, and the
                 // artifact carries each member's singleton address so the
-                // results fan back into the cache at collection time.
+                // results fan out under those addresses at collection time.
                 let batch_cname = format!(
                     "cells/{}",
                     members.iter().map(|(_, _, c)| c.as_str()).collect::<Vec<_>>().join("|")
@@ -1469,7 +1447,7 @@ mod tests {
         assert_eq!(bytes[0], b'T');
         let back = Artifact::decode(&bytes).expect("decode");
         assert_eq!(back.trained(), trained.trained());
-        assert!(!trained.promote_to_memory(), "heavy artifacts stay out of the memory map");
+        assert!(trained.approx_bytes() > 0, "a model is charged its heap size");
         assert!(Artifact::decode(b"T\x01\x02").is_none());
     }
 
@@ -1489,7 +1467,11 @@ mod tests {
         assert_eq!(bytes[0], b'S');
         let back = Artifact::decode(&bytes).expect("decode split");
         assert_eq!(back.split(), split_art.split());
-        assert!(!split_art.promote_to_memory());
+        let m = &split_art.split().dirty_matrix;
+        assert!(
+            split_art.approx_bytes() > (m.n_rows() * m.n_cols() * 9) as u64,
+            "a split is charged at least its matrix cells and masks"
+        );
 
         let clean_art = Artifact::Clean(Arc::new(clean));
         let bytes = clean_art.encode().expect("cleaned matrices persist");
@@ -1554,7 +1536,8 @@ mod tests {
         assert_eq!(bytes[0], b'B');
         let back = Artifact::decode(&bytes).expect("decode");
         assert_eq!(back.cells(), batch.cells());
-        assert!(batch.promote_to_memory(), "batches stay warm in the memo");
+        let cell_bytes = std::mem::size_of::<CellEval>() as u64;
+        assert_eq!(batch.approx_bytes(), 2 * (cell_bytes + 16), "a batch weighs its cells");
         // truncations are misses, not panics
         for cut in 0..bytes.len() {
             assert!(Artifact::decode(&bytes[..cut]).is_none(), "cut {cut}");

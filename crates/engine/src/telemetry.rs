@@ -300,12 +300,12 @@ pub struct Telemetry {
     pub(crate) queue_seconds: [Histogram; NKINDS],
     pub(crate) persist_seconds: Histogram,
 
-    // Cache plane (cache.rs).
+    // Cache plane (the pool lookup, the warm LRU and the store).
     pub(crate) cache_memory_hits: Counter,
     pub(crate) cache_disk_hits: Counter,
     pub(crate) cache_misses: Counter,
-    pub(crate) memo_evictions: Counter,
     pub(crate) warm_evictions: Counter,
+    pub(crate) warm_bytes: Gauge,
     pub(crate) store_writes: Counter,
     pub(crate) store_written_bytes: Counter,
     pub(crate) store_evictions: Counter,
@@ -327,6 +327,7 @@ pub struct Telemetry {
     pub(crate) fetch_bytes_out: Counter,
     pub(crate) workers_joined: Counter,
     pub(crate) workers_connected: Gauge,
+    pub(crate) hub_busy: Counter,
 
     // Submissions through the HTTP gateway (study.rs) and the HTTP plane
     // itself (remote/http.rs).
@@ -343,10 +344,8 @@ pub struct Telemetry {
     pub(crate) http_route_requests: [Counter; NROUTES],
     pub(crate) http_route_seconds: [Histogram; NROUTES],
 
-    // Zero-copy artifact plane (cache.rs) and nested subwork (pool.rs).
-    pub(crate) resident_bytes: Gauge,
+    // Zero-copy artifact plane (pool.rs) and nested subwork (subwork.rs).
     pub(crate) handle_shares: Counter,
-    pub(crate) deep_copies_avoided: Counter,
     pub(crate) subtasks_executed: Counter,
     pub(crate) subwork_batches: Counter,
 
@@ -381,8 +380,8 @@ impl Telemetry {
             cache_memory_hits: Counter::default(),
             cache_disk_hits: Counter::default(),
             cache_misses: Counter::default(),
-            memo_evictions: Counter::default(),
             warm_evictions: Counter::default(),
+            warm_bytes: Gauge::default(),
             store_writes: Counter::default(),
             store_written_bytes: Counter::default(),
             store_evictions: Counter::default(),
@@ -402,6 +401,7 @@ impl Telemetry {
             fetch_bytes_out: Counter::default(),
             workers_joined: Counter::default(),
             workers_connected: Gauge::default(),
+            hub_busy: Counter::default(),
             submissions_study: Counter::default(),
             submissions_cell: Counter::default(),
             submissions_active: Gauge::default(),
@@ -414,9 +414,7 @@ impl Telemetry {
             http_unauthorized: Counter::default(),
             http_route_requests: std::array::from_fn(|_| Counter::default()),
             http_route_seconds: std::array::from_fn(|_| Histogram::default()),
-            resident_bytes: Gauge::default(),
             handle_shares: Counter::default(),
-            deep_copies_avoided: Counter::default(),
             subtasks_executed: Counter::default(),
             subwork_batches: Counter::default(),
             slow: Mutex::new(Vec::new()),
@@ -628,8 +626,8 @@ impl Telemetry {
             Value::U64(self.cache_disk_hits.get()),
         );
         counter(&mut o, "cleanml_cache_misses_total", &self.cache_misses);
-        counter(&mut o, "cleanml_memo_evictions_total", &self.memo_evictions);
         counter(&mut o, "cleanml_warm_evictions_total", &self.warm_evictions);
+        gauge(&mut o, "cleanml_warm_bytes", &self.warm_bytes);
         counter(&mut o, "cleanml_store_writes_total", &self.store_writes);
         counter(&mut o, "cleanml_store_written_bytes_total", &self.store_written_bytes);
         counter(&mut o, "cleanml_store_evictions_total", &self.store_evictions);
@@ -662,6 +660,7 @@ impl Telemetry {
         );
         counter(&mut o, "cleanml_remote_workers_joined_total", &self.workers_joined);
         gauge(&mut o, "cleanml_remote_workers_connected", &self.workers_connected);
+        counter(&mut o, "cleanml_hub_busy_total", &self.hub_busy);
 
         o.push_str("# TYPE cleanml_submissions_total counter\n");
         sample(
@@ -704,9 +703,7 @@ impl Telemetry {
         }
         counter(&mut o, "cleanml_trace_events_dropped_total", &self.trace_overflow);
 
-        gauge(&mut o, "cleanml_resident_bytes", &self.resident_bytes);
         counter(&mut o, "cleanml_handle_shares_total", &self.handle_shares);
-        counter(&mut o, "cleanml_deep_copies_avoided_total", &self.deep_copies_avoided);
         counter(&mut o, "cleanml_subtasks_executed_total", &self.subtasks_executed);
         counter(&mut o, "cleanml_subwork_batches_total", &self.subwork_batches);
 

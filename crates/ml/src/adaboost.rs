@@ -159,6 +159,11 @@ impl AdaBoost {
 }
 
 impl AdaBoost {
+    pub(crate) fn heap_bytes(&self) -> u64 {
+        crate::model::vec_bytes(&self.learners)
+            + self.learners.iter().map(|(_, t)| t.heap_bytes()).sum::<u64>()
+    }
+
     /// Appends the weighted learner ensemble to an artifact byte stream.
     pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         use cleanml_dataset::codec::{push_f64, push_usize};

@@ -123,6 +123,11 @@ impl RandomForest {
 }
 
 impl RandomForest {
+    pub(crate) fn heap_bytes(&self) -> u64 {
+        crate::model::vec_bytes(&self.trees)
+            + self.trees.iter().map(DecisionTree::heap_bytes).sum::<u64>()
+    }
+
     /// Appends every member tree to an artifact byte stream.
     pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         use cleanml_dataset::codec::push_usize;

@@ -377,6 +377,14 @@ impl RegTree {
 }
 
 impl Gbdt {
+    pub(crate) fn heap_bytes(&self) -> u64 {
+        let round = |r: &Vec<RegTree>| {
+            crate::model::vec_bytes(r)
+                + r.iter().map(|t| crate::model::vec_bytes(&t.nodes)).sum::<u64>()
+        };
+        crate::model::vec_bytes(&self.trees) + self.trees.iter().map(round).sum::<u64>()
+    }
+
     /// Appends the boosted ensemble to an artifact byte stream.
     pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         use cleanml_dataset::codec::{push_f64, push_usize};

@@ -110,6 +110,10 @@ impl Knn {
 }
 
 impl Knn {
+    pub(crate) fn heap_bytes(&self) -> u64 {
+        self.train.heap_bytes()
+    }
+
     /// Appends the memorized training matrix and `k` to an artifact token
     /// stream.
     pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {

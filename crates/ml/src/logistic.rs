@@ -210,6 +210,10 @@ pub(crate) fn argmax_rows(probs: &[f64], k: usize) -> Vec<usize> {
 }
 
 impl Logistic {
+    pub(crate) fn heap_bytes(&self) -> u64 {
+        crate::model::vec_bytes(&self.weights) + crate::model::vec_bytes(&self.bias)
+    }
+
     /// Appends the fitted weights to an artifact byte stream.
     pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         use cleanml_dataset::codec::push_usize;

@@ -303,6 +303,13 @@ impl Layer {
 }
 
 impl Mlp {
+    pub(crate) fn heap_bytes(&self) -> u64 {
+        [&self.l1, &self.l2, &self.l3]
+            .iter()
+            .map(|l| crate::model::vec_bytes(&l.w) + crate::model::vec_bytes(&l.b))
+            .sum()
+    }
+
     /// Appends the three dense layers to an artifact byte stream.
     pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         use cleanml_dataset::codec::push_usize;

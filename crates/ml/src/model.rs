@@ -177,7 +177,28 @@ pub enum FittedModel {
     Nacl(Nacl),
 }
 
+/// Bytes a vector's buffer occupies.
+pub(crate) fn vec_bytes<T>(v: &Vec<T>) -> u64 {
+    (v.capacity() * std::mem::size_of::<T>()) as u64
+}
+
 impl FittedModel {
+    /// Approximate heap footprint of the fitted parameters in bytes.
+    pub fn heap_bytes(&self) -> u64 {
+        match self {
+            FittedModel::Constant { .. } => 0,
+            FittedModel::Logistic(m) => m.heap_bytes(),
+            FittedModel::Knn(m) => m.heap_bytes(),
+            FittedModel::Tree(m) => m.heap_bytes(),
+            FittedModel::Forest(m) => m.heap_bytes(),
+            FittedModel::AdaBoost(m) => m.heap_bytes(),
+            FittedModel::Gbdt(m) => m.heap_bytes(),
+            FittedModel::NaiveBayes(m) => m.heap_bytes(),
+            FittedModel::Mlp(m) => m.heap_bytes(),
+            FittedModel::Nacl(m) => m.heap_bytes(),
+        }
+    }
+
     /// Class predictions for each row.
     pub fn predict(&self, data: &FeatureMatrix) -> Result<Vec<usize>> {
         match self {

@@ -188,6 +188,10 @@ impl Nacl {
 }
 
 impl Nacl {
+    pub(crate) fn heap_bytes(&self) -> u64 {
+        crate::model::vec_bytes(&self.weights) + crate::model::vec_bytes(&self.bias)
+    }
+
     /// Appends the fitted weights to an artifact byte stream.
     pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         use cleanml_dataset::codec::push_usize;

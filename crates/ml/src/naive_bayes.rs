@@ -154,6 +154,12 @@ impl GaussianNb {
 }
 
 impl GaussianNb {
+    pub(crate) fn heap_bytes(&self) -> u64 {
+        crate::model::vec_bytes(&self.means)
+            + crate::model::vec_bytes(&self.vars)
+            + crate::model::vec_bytes(&self.log_priors)
+    }
+
     /// Appends the per-class Gaussians to an artifact byte stream.
     pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         use cleanml_dataset::codec::push_usize;

@@ -336,6 +336,16 @@ fn find_best_split(
 }
 
 impl DecisionTree {
+    /// Approximate heap footprint: the node arena and the leaf
+    /// distributions.
+    pub(crate) fn heap_bytes(&self) -> u64 {
+        let dists = self.nodes.iter().map(|n| match n {
+            Node::Leaf { dist } => crate::model::vec_bytes(dist),
+            Node::Split { .. } => 0,
+        });
+        crate::model::vec_bytes(&self.nodes) + dists.sum::<u64>()
+    }
+
     /// Appends the node arena to an artifact byte stream.
     pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         use cleanml_dataset::codec::{push_f64, push_tag, push_usize};
